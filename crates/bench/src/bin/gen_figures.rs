@@ -38,9 +38,12 @@
 //! run; the farm CI job relies on exactly that equivalence.
 //!
 //! Prints the same rows/series the paper reports (normalized to the
-//! baseline design) and writes machine-readable JSON next to the text.
+//! baseline design) and writes machine-readable JSON next to the text. A
+//! reader that closes early (`gen-figures | head`) ends the run with
+//! status 0.
 
 use adaptnoc_bench::jsonrows::{rows_json, ToJson};
+use adaptnoc_bench::outln;
 use adaptnoc_bench::prelude::*;
 use adaptnoc_sim::json::{self, Value};
 use std::collections::HashSet;
@@ -91,7 +94,7 @@ fn main() {
         .filter(|v| v.as_object().is_some())
         .unwrap_or_else(|| Value::Object(vec![]));
 
-    println!(
+    outln!(
         "== Adapt-NoC figure regeneration ({}) ==",
         if quick { "quick" } else { "full" }
     );
@@ -105,12 +108,18 @@ fn main() {
     {
         banner("Figs. 7/10/11/12/13: mixed workload, normalized to baseline");
         let rows = mixed_campaign(&scale).expect("mixed campaign");
-        println!(
+        outln!(
             "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "design", "pkt-lat", "exec", "energy", "dynamic", "static", "edp"
+            "design",
+            "pkt-lat",
+            "exec",
+            "energy",
+            "dynamic",
+            "static",
+            "edp"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<16} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
                 r.design,
                 r.packet_latency_norm,
@@ -155,14 +164,18 @@ fn main() {
     if want("fig16") {
         banner("Fig. 16: RL vs static across subNoC sizes (ratios, lower = RL wins)");
         let rows = fig16(&scale).expect("fig16");
-        println!(
+        outln!(
             "{:<8} {:>14} {:>14}",
-            "size", "latency-ratio", "energy-ratio"
+            "size",
+            "latency-ratio",
+            "energy-ratio"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<8} {:>14.3} {:>14.3}",
-                r.size, r.latency_ratio, r.energy_ratio
+                r.size,
+                r.latency_ratio,
+                r.energy_ratio
             );
         }
         json.insert("fig16", rows_json(&rows));
@@ -171,11 +184,13 @@ fn main() {
     if want("fig17") {
         banner("Fig. 17: epoch-size sweep (normalized to 50K)");
         let rows = fig17(&scale).expect("fig17");
-        println!("{:<10} {:>12} {:>12}", "epoch", "latency", "power");
+        outln!("{:<10} {:>12} {:>12}", "epoch", "latency", "power");
         for r in &rows {
-            println!(
+            outln!(
                 "{:<10} {:>12.3} {:>12.3}",
-                r.epoch_cycles, r.latency_norm, r.power_norm
+                r.epoch_cycles,
+                r.latency_norm,
+                r.power_norm
             );
         }
         json.insert("fig17", rows_json(&rows));
@@ -199,14 +214,24 @@ fn main() {
         banner("Ablation: each candidate topology held fixed (4x4, BS)");
         let seeds: &[u64] = if quick { &[1] } else { &[1, 2, 3] };
         let rows = ablation_sweep(seeds, &scale.rc, scale.threads).expect("ablation sweep");
-        println!(
+        outln!(
             "{:<10} {:>5} {:>10} {:>8} {:>12} {:>10}",
-            "topology", "seed", "pkt-lat", "hops", "energy-j", "delivered"
+            "topology",
+            "seed",
+            "pkt-lat",
+            "hops",
+            "energy-j",
+            "delivered"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<10} {:>5} {:>10.2} {:>8.3} {:>12.3e} {:>10}",
-                r.topology, r.seed, r.packet_latency, r.hops, r.energy_j, r.delivered
+                r.topology,
+                r.seed,
+                r.packet_latency,
+                r.hops,
+                r.energy_j,
+                r.delivered
             );
         }
         json.insert("ablations", rows_json(&rows));
@@ -220,12 +245,20 @@ fn main() {
                 .expect("fault sweep checkpoint journal"),
             None => fault_sweep_par(seeds, scale.threads).expect("fault sweep"),
         };
-        println!(
+        outln!(
             "{:<16} {:>5} {:>9} {:>7} {:>7} {:>6} {:>10} {:>8} {:>8}",
-            "scenario", "seed", "delivery", "nacks", "drops", "recov", "ttr", "lat", "dead"
+            "scenario",
+            "seed",
+            "delivery",
+            "nacks",
+            "drops",
+            "recov",
+            "ttr",
+            "lat",
+            "dead"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<16} {:>5} {:>9.4} {:>7} {:>7} {:>6} {:>10.1} {:>8.2} {:>8}",
                 r.scenario,
                 r.seed,
@@ -245,7 +278,7 @@ fn main() {
         banner("Scenario campaign: open-loop latency-throughput (8x8 mesh, uniform Poisson)");
         let rows = match (&submit_addr, &checkpoint_dir) {
             (Some(addr), _) => {
-                println!("submitting to farm daemon at {addr}");
+                outln!("submitting to farm daemon at {addr}");
                 adaptnoc_bench::submit::submit_and_wait(
                     addr,
                     "latency_throughput",
@@ -265,12 +298,20 @@ fn main() {
                     .expect("scenario campaign")
             }
         };
-        println!(
+        outln!(
             "{:<6} {:>9} {:>9} {:>9} {:>8} {:>8} {:>9} {:>9} {:>5}",
-            "load", "offered", "accepted", "avg-lat", "p50", "p99", "p999", "max-q", "sat"
+            "load",
+            "offered",
+            "accepted",
+            "avg-lat",
+            "p50",
+            "p99",
+            "p999",
+            "max-q",
+            "sat"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<6.2} {:>9.4} {:>9.4} {:>9.1} {:>8.1} {:>8.1} {:>9.1} {:>9} {:>5}",
                 r.load,
                 r.offered_rate,
@@ -290,12 +331,19 @@ fn main() {
         banner("Scaling campaign: 16x16 -> 64x64 meshes + 64x64 chiplet fabric");
         let cycles = if quick { 600 } else { 4_000 };
         let rows = scaling_campaign(cycles, threads).expect("scaling campaign");
-        println!(
+        outln!(
             "{:<16} {:>7} {:>9} {:>7} {:>9} {:>9} {:>9} {:>7}",
-            "design", "tiles", "channels", "load", "offered", "delivered", "avg-lat", "hops"
+            "design",
+            "tiles",
+            "channels",
+            "load",
+            "offered",
+            "delivered",
+            "avg-lat",
+            "hops"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<16} {:>7} {:>9} {:>7.3} {:>9} {:>9} {:>9.1} {:>7.2}",
                 r.design,
                 r.routers,
@@ -313,7 +361,7 @@ fn main() {
     if want("tables") {
         banner("Sec. V-B1: area");
         let a = area_table();
-        println!(
+        outln!(
             "baseline {:.2} mm2 | adapt {:.2} mm2 | extras {:.2} mm2 | saving {:.1}% (paper: 17.27 / -14%)",
             a.baseline_mm2,
             a.adapt_mm2,
@@ -324,29 +372,37 @@ fn main() {
 
         banner("Sec. V-B2: wiring budget");
         let (budget, rows) = wiring_table().expect("wiring");
-        println!(
+        outln!(
             "budget per tile edge: {} high-metal + {} intermediate bidirectional 256-bit links",
-            budget.high_metal_links, budget.intermediate_links
+            budget.high_metal_links,
+            budget.intermediate_links
         );
-        println!(
+        outln!(
             "{:<12} {:>10} {:>10} {:>8}",
-            "topology", "channels", "express", "fits"
+            "topology",
+            "channels",
+            "express",
+            "fits"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<12} {:>10} {:>10} {:>8}",
-                r.topology, r.max_channels_per_edge, r.max_express_per_edge, r.fits_budget
+                r.topology,
+                r.max_channels_per_edge,
+                r.max_express_per_edge,
+                r.fits_budget
             );
         }
         json.insert("wiring", rows_json(&rows));
 
         banner("Sec. V-B3: timing");
         let t = timing_table();
-        println!(
+        outln!(
             "conventional RC/VA/SA/ST: {:?} ps | adaptable (mux merged): {:?} ps",
-            t.conventional_ps, t.adaptable_ps
+            t.conventional_ps,
+            t.adaptable_ps
         );
-        println!(
+        outln!(
             "max freq {:.2} GHz | 4mm high-metal wire {:.0} ps | reversed +{:.0} ps | DQN {:.0} ns (paper: 486)",
             t.max_freq_ghz, t.wire_4mm_ps, t.reversed_extra_ps, t.dqn_ns
         );
@@ -354,25 +410,34 @@ fn main() {
 
         banner("Sec. V-A1: wiring scalability (FTBY vs Adapt at 16x16)");
         let rows = scalability_table().expect("scalability");
-        println!(
+        outln!(
             "{:<8} {:<14} {:>10} {:>6}",
-            "size", "design", "channels", "fits"
+            "size",
+            "design",
+            "channels",
+            "fits"
         );
         for r in &rows {
-            println!(
+            outln!(
                 "{:<8} {:<14} {:>10} {:>6}",
-                r.size, r.design, r.max_channels_per_edge, r.fits_budget
+                r.size,
+                r.design,
+                r.max_channels_per_edge,
+                r.fits_budget
             );
         }
         json.insert("scalability", rows_json(&rows));
 
         banner("Sec. II-C1: reconfiguration latency (idle 4x4 subNoC)");
         let rows = reconfig_table().expect("reconfig");
-        println!("{:<10} {:<10} {:>8} {:>6}", "from", "to", "cycles", "fast");
+        outln!("{:<10} {:<10} {:>8} {:>6}", "from", "to", "cycles", "fast");
         for r in &rows {
-            println!(
+            outln!(
                 "{:<10} {:<10} {:>8} {:>6}",
-                r.from, r.to, r.cycles, r.fast_path
+                r.from,
+                r.to,
+                r.cycles,
+                r.fast_path
             );
         }
         json.insert("reconfig", rows_json(&rows));
@@ -383,12 +448,12 @@ fn main() {
         let reg = adaptnoc_bench::telemetry::telemetry_probe();
         let (jsonl, prom) =
             adaptnoc_bench::telemetry::write_metrics(dir, &reg).expect("write --metrics-out");
-        println!("wrote {} and {}", jsonl.display(), prom.display());
+        outln!("wrote {} and {}", jsonl.display(), prom.display());
         if let Some(ckpt) = &checkpoint_dir {
             if ckpt != dir {
                 let (jsonl, prom) = adaptnoc_bench::telemetry::write_metrics(ckpt, &reg)
                     .expect("write metrics next to checkpoint journal");
-                println!("wrote {} and {}", jsonl.display(), prom.display());
+                outln!("wrote {} and {}", jsonl.display(), prom.display());
             }
         }
     }
@@ -407,56 +472,72 @@ fn main() {
         &adaptnoc_bench::report::render_report(&out),
     )
     .ok();
-    println!(
+    outln!(
         "\nDone in {:.1}s; results/figures.json and results/REPORT.md written",
         t0.elapsed().as_secs_f64()
     );
 }
 
 fn banner(s: &str) {
-    println!("\n--- {s} ---");
+    outln!("\n--- {s} ---");
 }
 
 fn print_per_app(rows: &[adaptnoc_bench::figs::PerAppRow], with_queuing: bool) {
     if with_queuing {
-        println!(
+        outln!(
             "{:<6} {:<16} {:>10} {:>12}",
-            "app", "design", "hops", "queuing"
+            "app",
+            "design",
+            "hops",
+            "queuing"
         );
     } else {
-        println!("{:<6} {:<16} {:>10}", "app", "design", "hops");
+        outln!("{:<6} {:<16} {:>10}", "app", "design", "hops");
     }
     for r in rows {
         if with_queuing {
-            println!(
+            outln!(
                 "{:<6} {:<16} {:>10.3} {:>12.3}",
-                r.app, r.design, r.hops_norm, r.queuing_norm
+                r.app,
+                r.design,
+                r.hops_norm,
+                r.queuing_norm
             );
         } else {
-            println!("{:<6} {:<16} {:>10.3}", r.app, r.design, r.hops_norm);
+            outln!("{:<6} {:<16} {:>10.3}", r.app, r.design, r.hops_norm);
         }
     }
 }
 
 fn print_selection(rows: &[adaptnoc_bench::figs::SelectionRow]) {
-    println!(
+    outln!(
         "{:<6} {:>8} {:>8} {:>8} {:>8}",
-        "app", "mesh", "cmesh", "torus", "tree"
+        "app",
+        "mesh",
+        "cmesh",
+        "torus",
+        "tree"
     );
     for r in rows {
-        println!(
+        outln!(
             "{:<6} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            r.app, r.fractions[0], r.fractions[1], r.fractions[2], r.fractions[3]
+            r.app,
+            r.fractions[0],
+            r.fractions[1],
+            r.fractions[2],
+            r.fractions[3]
         );
     }
 }
 
 fn print_sweep(rows: &[adaptnoc_bench::figs::SweepRow]) {
-    println!("{:<8} {:>12} {:>12}", "value", "latency", "power");
+    outln!("{:<8} {:>12} {:>12}", "value", "latency", "power");
     for r in rows {
-        println!(
+        outln!(
             "{:<8} {:>12.3} {:>12.3}",
-            r.value, r.latency_norm, r.power_norm
+            r.value,
+            r.latency_norm,
+            r.power_norm
         );
     }
 }

@@ -35,7 +35,10 @@
 //! (`docs/SCENARIOS.md`) end to end and reports its simulation rate and
 //! offered/accepted summary; sweep scenarios replay their middle load
 //! point.
+//!
+//! A reader that closes early (`speed | head`) ends the run with status 0.
 
+use adaptnoc_bench::outln;
 use adaptnoc_bench::parallel::configured_threads;
 use adaptnoc_bench::prelude::*;
 use adaptnoc_core::prelude::*;
@@ -114,7 +117,7 @@ fn main() {
         net.step();
     }
     let idle_s = t0.elapsed().as_secs_f64();
-    println!("idle net: {:.1} Kc/s", kcycles / idle_s);
+    outln!("idle net: {:.1} Kc/s", kcycles / idle_s);
     record.push(("idle_kcps".into(), Value::Number(kcycles / idle_s)));
     record.push(("idle_wall_s".into(), Value::Number(idle_s)));
 
@@ -142,7 +145,7 @@ fn main() {
     }
     let full_s = t0.elapsed().as_secs_f64();
     let pkts = net.totals().stats.packets;
-    println!(
+    outln!(
         "full: {:.1} Kc/s, pkts {} ({} thread(s))",
         kcycles / full_s,
         pkts,
@@ -162,7 +165,7 @@ fn main() {
             full >= min_kcps,
             "loaded throughput regressed: {full:.1} Kc/s is below the {min_kcps:.1} Kc/s floor"
         );
-        println!("loaded throughput above the {min_kcps:.1} Kc/s floor ({full:.1} Kc/s)");
+        outln!("loaded throughput above the {min_kcps:.1} Kc/s floor ({full:.1} Kc/s)");
     }
 
     // Per-stage span timings for the JSON record: a short sampled
@@ -206,7 +209,7 @@ fn main() {
         let reg = net.telemetry().expect("telemetry attached").clone();
         let (jsonl, prom) =
             adaptnoc_bench::telemetry::write_metrics(dir, &reg).expect("write --metrics");
-        println!("metrics: wrote {} and {}", jsonl.display(), prom.display());
+        outln!("metrics: wrote {} and {}", jsonl.display(), prom.display());
     }
 
     // Telemetry overhead on the idle fast path. Under `Off` no telemetry
@@ -216,7 +219,7 @@ fn main() {
     if args.metrics.is_some() || args.assert_off_within.is_some() {
         let rows = adaptnoc_bench::microbench::telemetry_overhead(args.cycles.min(50_000));
         for (mode, kcps) in &rows {
-            println!("telemetry overhead, idle net [{mode}]: {kcps:.1} Kc/s");
+            outln!("telemetry overhead, idle net [{mode}]: {kcps:.1} Kc/s");
         }
         if let Some(pct) = args.assert_off_within {
             let off = rows.iter().find(|(m, _)| m == "off").expect("off row").1;
@@ -227,7 +230,7 @@ fn main() {
                 "telemetry-off idle throughput regressed: {off:.1} Kc/s is more than \
                  {pct}% below the uninstrumented {idle:.1} Kc/s"
             );
-            println!(
+            outln!(
                 "telemetry-off within {pct}% of uninstrumented idle ({off:.1} vs {idle:.1} Kc/s)"
             );
         }
@@ -239,7 +242,7 @@ fn main() {
     let t0 = Instant::now();
     let rows = fault_sweep_par(&seeds, args.threads).expect("fault sweep");
     let campaign_s = t0.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "campaign: {} points in {:.2}s on {} thread(s)",
         rows.len(),
         campaign_s,
@@ -267,7 +270,7 @@ fn main() {
         let out = adaptnoc_scenario::prelude::run(&plan, &opts).expect("scenario replay");
         let scn_s = t0.elapsed().as_secs_f64();
         let total = plan.total_cycles() as f64;
-        println!(
+        outln!(
             "scenario {path}: {:.1} Kc/s, offered {:.4} accepted {:.4} p99 {:.1}",
             total / 1_000.0 / scn_s,
             out.offered_rate,
@@ -289,6 +292,6 @@ fn main() {
     if let Some(path) = args.json {
         let body = Value::Object(record).to_string_pretty();
         std::fs::write(&path, body).expect("write --json output");
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
 }

@@ -18,6 +18,8 @@
 //!   (wall-clock + cycle-window) guarding unattended runs.
 //! * [`submit`] — the farm-daemon client behind `gen-figures --submit`
 //!   (see `docs/FARM.md`).
+//! * [`cli`] — standard-output printing for the binaries that survives a
+//!   closed reader (`speed | head`).
 //!
 //! The `gen-figures` binary runs everything and prints the rows the paper
 //! reports (normalized to the baseline design).
@@ -27,6 +29,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ablations;
+pub mod cli;
 pub mod faults;
 pub mod figs;
 pub mod harness;

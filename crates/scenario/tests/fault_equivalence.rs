@@ -87,3 +87,39 @@ fn scripted_and_hand_built_plans_produce_identical_traces() {
     );
     assert_eq!(scripted, hand, "identical outcomes, epochs included");
 }
+
+/// A loaded 4x4 chip that loses a link and then a router: every fault
+/// purge, and the blocked-traffic reaping that runs each cycle once a node
+/// is disconnected, shows in the packet trace.
+const ROUTER_KILL: &str = "grid 4 4; seed 3; warmup 1K; duration 5K; epoch 1K;\n\
+                           t=0 uniform load 0.15 poisson;\n\
+                           t=1500 kill link 5 -> 6;\n\
+                           t=2500 kill router 10;";
+
+/// FNV-1a over the text of a value's `Debug` form.
+fn digest(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn router_kill_trace_is_pinned() {
+    let opts = RunOptions {
+        trace_capacity: 1 << 20,
+        ..RunOptions::default()
+    };
+    let out = run(&compile(&parse(ROUTER_KILL).unwrap()).unwrap(), &opts).unwrap();
+    assert_eq!(out.faults.routers_fired, 1);
+    assert!(out.faults.retries_queued > 0, "the faults NACKed traffic");
+    assert!(out.drops > 0, "the dead router's traffic was dropped");
+    // The fault path's bookkeeping may be re-engineered, but what it does
+    // to packets must not change: these digests pin the exact trace and
+    // outcome.
+    assert_eq!(
+        (out.trace.len(), digest(&out.trace), digest(&out)),
+        (113_738, 0x29f0_760d_bb42_0e81, 0x7cfb_35f2_b349_6a93)
+    );
+}

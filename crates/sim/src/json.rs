@@ -214,9 +214,25 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so hostile input such as a megabyte of `[`
+/// must end in an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// What went wrong in a [`ParseError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// Malformed input or trailing garbage.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A JSON parse error with a byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// What went wrong.
+    pub kind: ParseErrorKind,
     /// Byte offset of the error in the input.
     pub offset: usize,
     /// Human-readable description.
@@ -239,11 +255,12 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input or trailing garbage.
+/// Returns [`ParseError`] on malformed input or trailing garbage, and on
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
@@ -253,6 +270,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 
 fn err(offset: usize, message: &str) -> ParseError {
     ParseError {
+        kind: ParseErrorKind::Syntax,
         offset,
         message: message.to_string(),
     }
@@ -273,8 +291,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parses the value at `pos`, nested `depth` arrays or objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(ParseError {
+            kind: ParseErrorKind::TooDeep,
+            offset: *pos,
+            message: format!("nesting deeper than {MAX_DEPTH} levels"),
+        });
+    }
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -290,7 +316,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -315,7 +341,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -463,6 +489,20 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(1_000_000);
+        let e = parse(&hostile).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::TooDeep);
+        assert_eq!(e.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(1_000_000);
+        assert_eq!(parse(&objects).unwrap_err().kind, ParseErrorKind::TooDeep);
+        // The limit itself still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        assert_eq!(parse("[1, 2").unwrap_err().kind, ParseErrorKind::Syntax);
     }
 
     #[test]

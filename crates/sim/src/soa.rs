@@ -55,7 +55,8 @@ pub(crate) struct VcLanes {
     /// (clears its bit) and `Network::step_credits` wakes it O(1) when
     /// the blocking credit transitions away from zero — the output VC's
     /// `alloc` back-link names the unique parked lane. Every buffer push
-    /// and every wholesale rebuild (reconfigure, purge) also wakes, so
+    /// and every wholesale rebuild (reconfigure) also wakes, as does a
+    /// purge for the VCs it touches or whose blocking credit it frees, so
     /// `occ & !scan` is exactly the credit-parked set (checked by the
     /// Allocation invariant guard). Stale set bits on drained VCs are
     /// harmless: the scan masks with `occ`.
@@ -79,6 +80,14 @@ pub(crate) struct VcLanes {
     /// separate arrays (`route`, `out_vc`, `front_ready`) used to cost
     /// three cache touches. See the `LANE_*` constants for the layout.
     pub(crate) lane: Vec<u64>,
+    /// Per global port (input side): bitmask of VCs whose lane holds a
+    /// route — bit `v` mirrors `lane[gp * total_vcs + v] & LANE_HAS_ROUTE`.
+    /// `occ & !routed` names the occupied VCs whose front head still needs
+    /// route computation, which lets the fault path's blocked-traffic
+    /// sweep skip every routed VC of a router without faulted outputs.
+    /// Every route write keeps the two in sync (checked by the Allocation
+    /// invariant guard).
+    pub(crate) routed: Vec<u32>,
     /// Per global VC (input side): VA metadata of the front head flit,
     /// packed `vnet | vc_class << 8 | last_dim << 16 | pkt_len << 24`.
     /// Written at route computation (the one scan visit that loads the
@@ -241,6 +250,7 @@ impl VcLanes {
             va_rr: vec![crate::arbiter::RoundRobin::new(); n_ports],
             sa_rr: vec![crate::arbiter::RoundRobin::new(); n_ports],
             lane: vec![0; n_vcs],
+            routed: vec![0; n_ports],
             va_meta: vec![0; n_vcs],
             owner: vec![None; n_vcs],
             ni_lock: vec![false; n_vcs],
@@ -320,12 +330,13 @@ impl VcLanes {
     #[inline]
     pub(crate) fn clear_alloc(&mut self, gv: usize) {
         lane_clear_alloc(&mut self.lane[gv]);
+        self.routed[gv / self.total_vcs] &= !(1 << (gv % self.total_vcs));
     }
 
     /// Recomputes every port's zero-credit mask from `credits` and wakes
     /// every parked VC (any blocking credit may just have changed).
     ///
-    /// Used after wholesale credit recomputation (reconfigure, purge) where
+    /// Used after wholesale credit recomputation (reconfigure) where
     /// incremental bit maintenance would be error-prone for no gain.
     pub(crate) fn rebuild_credit_zero(&mut self) {
         for gp in 0..self.credit_zero.len() {
@@ -370,13 +381,6 @@ impl VcLanes {
             self.depth,
             gv,
         )
-    }
-
-    /// Empties VC `gv` (the slots keep their stale contents).
-    #[inline]
-    pub(crate) fn clear_buf(&mut self, gv: usize) {
-        self.head[gv] = 0;
-        self.len[gv] = 0;
     }
 }
 

@@ -194,6 +194,9 @@ pub(crate) struct BandView<'a> {
     /// Per-VC hot-lane words (route + output VC + front readiness; see
     /// [`crate::soa`]'s `LANE_*` layout).
     pub(crate) lane: &'a mut [u64],
+    /// Per-port routed-VC bitmask (kept in sync with the lanes' route
+    /// flags; see [`crate::soa::VcLanes::routed`]).
+    pub(crate) routed: &'a mut [u32],
     /// Per-VC packed VA digest of the front head flit (see
     /// [`crate::soa::VcLanes::va_meta`]).
     pub(crate) va_meta: &'a mut [u32],
@@ -247,6 +250,7 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
     let (vrr_a, vrr_b) = view.va_rr.split_at_mut(n_p);
     let (srr_a, srr_b) = view.sa_rr.split_at_mut(n_p);
     let (lane_a, lane_b) = view.lane.split_at_mut(n_v);
+    let (rt_a, rt_b) = view.routed.split_at_mut(n_p);
     let (vm_a, vm_b) = view.va_meta.split_at_mut(n_v);
     let (own_a, own_b) = view.owner.split_at_mut(n_v);
     let (cr_a, cr_b) = view.credits.split_at_mut(n_v);
@@ -267,6 +271,7 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         sa_rr: srr_a,
         gv0: view.gv0,
         lane: lane_a,
+        routed: rt_a,
         va_meta: vm_a,
         owner: own_a,
         credits: cr_a,
@@ -299,6 +304,7 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         sa_rr: srr_b,
         gv0: mid_gp * view.total_vcs,
         lane: lane_b,
+        routed: rt_b,
         va_meta: vm_b,
         owner: own_b,
         credits: cr_b,
@@ -633,6 +639,7 @@ impl BandView<'_> {
                             }
                         };
                         soa::lane_set_route(&mut self.lane[lv], port.0);
+                        self.routed[gp - self.gp0] |= 1 << vi;
                         // Cache the head's VA digest while the flit is in
                         // hand; the arbitration loop below reads this word
                         // (plus the lane's readiness field) instead of
@@ -902,6 +909,7 @@ impl BandView<'_> {
         let lv_out = self.lv((base_gp + po) * total_vcs + gvc as usize);
         if is_tail {
             soa::lane_clear_alloc(&mut self.lane[lv_in]);
+            self.routed[base_gp + pi - self.gp0] &= !(1 << vi);
             self.owner[lv_in] = None;
             self.alloc[lv_out] = None;
             self.alloc_mask[base_gp + po - self.gp0] &= !(1 << gvc);

@@ -14,7 +14,7 @@
 use crate::geom::{Coord, Grid};
 use adaptnoc_sim::ids::{ChannelId, NodeId, PortId, RouterId, Vnet};
 use adaptnoc_sim::spec::NetworkSpec;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A walked route.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,14 +110,64 @@ pub fn walk_route(
     src: NodeId,
     dst: NodeId,
 ) -> Result<RoutePath, ValidateError> {
+    walk_route_in(spec, &PortChannels::new(spec), vnet, src, dst)
+}
+
+/// The channel leaving each `(router, out port)`: a dense per-router-port
+/// table, built once per validation and shared by every walk.
+struct PortChannels {
+    /// `base[r]` is router `r`'s first slot; `base[routers]` the total.
+    base: Vec<usize>,
+    /// Channel index per slot.
+    channel: Vec<Option<u32>>,
+}
+
+impl PortChannels {
+    fn new(spec: &NetworkSpec) -> Self {
+        // A row covers the router's ports and any channel port beyond
+        // them, so every channel keeps a slot whatever the spec's state.
+        let mut width: Vec<usize> = spec.routers.iter().map(|r| r.n_ports as usize).collect();
+        for c in &spec.channels {
+            let w = &mut width[c.src.router.index()];
+            *w = (*w).max(c.src.port.index() + 1);
+        }
+        let mut base = Vec::with_capacity(width.len() + 1);
+        let mut acc = 0;
+        base.push(0);
+        for w in width {
+            acc += w;
+            base.push(acc);
+        }
+        let mut channel = vec![None; acc];
+        // Later channels win a shared port, as map insertion did.
+        for (i, c) in spec.channels.iter().enumerate() {
+            channel[base[c.src.router.index()] + c.src.port.index()] = Some(i as u32);
+        }
+        PortChannels { base, channel }
+    }
+
+    fn get(&self, router: RouterId, port: PortId) -> Option<usize> {
+        let (lo, hi) = (
+            *self.base.get(router.index())?,
+            *self.base.get(router.index() + 1)?,
+        );
+        let slot = lo + port.index();
+        if slot >= hi {
+            return None;
+        }
+        self.channel[slot].map(|c| c as usize)
+    }
+}
+
+fn walk_route_in(
+    spec: &NetworkSpec,
+    ports: &PortChannels,
+    vnet: Vnet,
+    src: NodeId,
+    dst: NodeId,
+) -> Result<RoutePath, ValidateError> {
     let src_ni = spec.ni_of(src).ok_or(ValidateError::NoNi(src))?;
     let dst_ni = spec.ni_of(dst).ok_or(ValidateError::NoNi(dst))?;
-
-    // (router, out port) -> channel index.
-    let mut out_map: HashMap<(RouterId, PortId), usize> = HashMap::new();
-    for (i, c) in spec.channels.iter().enumerate() {
-        out_map.insert((c.src.router, c.src.port), i);
-    }
 
     let mut cur = src_ni.router;
     let mut path = RoutePath {
@@ -138,7 +188,7 @@ pub fn walk_route(
         if cur == dst_ni.router && port == dst_ni.port {
             return Ok(path);
         }
-        let Some(&ci) = out_map.get(&(cur, port)) else {
+        let Some(ci) = ports.get(cur, port) else {
             return Err(ValidateError::BadPort { router: cur, port });
         };
         let ch = &spec.channels[ci];
@@ -180,28 +230,30 @@ impl RouteStats {
 ///
 /// # Errors
 ///
-/// Returns the first [`ValidateError`] found.
+/// Returns the first [`ValidateError`] found. A dependency cycle's witness
+/// is deterministic: the graph is searched in ascending `(channel, class)`
+/// order.
 pub fn check_routes_and_deadlock(
     spec: &NetworkSpec,
     pairs: &[(NodeId, NodeId)],
 ) -> Result<RouteStats, ValidateError> {
+    let ports = PortChannels::new(spec);
     let mut stats = RouteStats::default();
     for v in 0..spec.tables.vnets() as u8 {
         let vnet = Vnet(v);
-        // Dependency edges between (channel, class) nodes.
-        let mut deps: HashMap<(u32, u8), HashSet<(u32, u8)>> = HashMap::new();
+        let mut deps = DepGraph::new(spec.channels.len());
         for &(src, dst) in pairs {
             if src == dst {
                 continue;
             }
-            let path = walk_route(spec, vnet, src, dst)?;
+            let path = walk_route_in(spec, &ports, vnet, src, dst)?;
             stats.routes += 1;
             stats.total_hops += path.hops;
             stats.max_hops = stats.max_hops.max(path.hops);
 
             let mut class = 0u8;
             let mut last_dim = adaptnoc_sim::spec::DIM_NONE;
-            let mut prev: Option<(u32, u8)> = None;
+            let mut prev: Option<u32> = None;
             for &ch_id in &path.channels {
                 let ch = &spec.channels[ch_id.index()];
                 class = ch.class_after(class, last_dim);
@@ -214,15 +266,14 @@ pub fn check_routes_and_deadlock(
                         return Err(ValidateError::MissingVcSplit { router: up });
                     }
                 }
-                let node = (ch_id.0, class);
+                let node = DepGraph::node(ch_id.0, class);
                 if let Some(p) = prev {
-                    deps.entry(p).or_default().insert(node);
+                    deps.add(p, node);
                 }
                 prev = Some(node);
             }
         }
-        // Cycle detection (iterative DFS with colors).
-        if let Some(witness) = find_cycle(&deps) {
+        if let Some(witness) = deps.find_cycle() {
             return Err(ValidateError::DependencyCycle {
                 vnet,
                 witness: ChannelId(witness),
@@ -232,48 +283,86 @@ pub fn check_routes_and_deadlock(
     Ok(stats)
 }
 
-/// Dependency graph between `(channel, class)` nodes.
-type DepGraph = HashMap<(u32, u8), HashSet<(u32, u8)>>;
+/// VC classes a channel-dependency node distinguishes (0, the dateline
+/// class 1 and the sticky inter-chip class).
+const CLASSES: u32 = adaptnoc_sim::spec::CLASS_INTERCHIP as u32 + 1;
 
-fn find_cycle(deps: &DepGraph) -> Option<u32> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color: HashMap<(u32, u8), Color> = HashMap::new();
-    let empty: HashSet<(u32, u8)> = HashSet::new();
-    for &start in deps.keys() {
-        if *color.get(&start).unwrap_or(&Color::White) != Color::White {
-            continue;
+/// Channel-dependency graph over dense `(channel, class)` node indices
+/// (`channel * CLASSES + class`).
+struct DepGraph {
+    nodes: usize,
+    /// Dependency edges `(from, to)`, possibly repeated.
+    edges: Vec<(u32, u32)>,
+}
+
+impl DepGraph {
+    fn new(channels: usize) -> Self {
+        DepGraph {
+            nodes: channels * CLASSES as usize,
+            edges: Vec::new(),
         }
-        // Iterative DFS over (node, remaining children) frames.
-        type Frame = ((u32, u8), Vec<(u32, u8)>);
-        let mut stack: Vec<Frame> = vec![(
-            start,
-            deps.get(&start).unwrap_or(&empty).iter().copied().collect(),
-        )];
-        color.insert(start, Color::Gray);
-        while let Some((node, children)) = stack.last_mut() {
-            if let Some(child) = children.pop() {
-                match *color.get(&child).unwrap_or(&Color::White) {
-                    Color::Gray => return Some(child.0),
+    }
+
+    fn node(channel: u32, class: u8) -> u32 {
+        debug_assert!((class as u32) < CLASSES, "VC class {class} out of range");
+        channel * CLASSES + class as u32
+    }
+
+    fn add(&mut self, from: u32, to: u32) {
+        self.edges.push((from, to));
+    }
+
+    /// The channel of a node on some dependency cycle, if there is one.
+    /// An iterative depth-first search starts from nodes in ascending
+    /// index order and visits children in ascending order, so the witness
+    /// depends only on the graph.
+    fn find_cycle(mut self) -> Option<u32> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Color {
+            White,
+            Gray,
+            Black,
+        }
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        // Compressed adjacency: node `n`'s children are
+        // `self.edges[start[n]..start[n + 1]]`.
+        let mut start = vec![0usize; self.nodes + 1];
+        for &(from, _) in &self.edges {
+            start[from as usize + 1] += 1;
+        }
+        for n in 0..self.nodes {
+            start[n + 1] += start[n];
+        }
+        let mut color = vec![Color::White; self.nodes];
+        // Frames of (node, next child edge).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..self.nodes {
+            if color[root] != Color::White || start[root] == start[root + 1] {
+                continue;
+            }
+            color[root] = Color::Gray;
+            stack.push((root, start[root]));
+            while let Some((node, next)) = stack.last_mut() {
+                if *next == start[*node + 1] {
+                    color[*node] = Color::Black;
+                    stack.pop();
+                    continue;
+                }
+                let child = self.edges[*next].1 as usize;
+                *next += 1;
+                match color[child] {
+                    Color::Gray => return Some(child as u32 / CLASSES),
                     Color::Black => {}
                     Color::White => {
-                        color.insert(child, Color::Gray);
-                        let next: Vec<(u32, u8)> =
-                            deps.get(&child).unwrap_or(&empty).iter().copied().collect();
-                        stack.push((child, next));
+                        color[child] = Color::Gray;
+                        stack.push((child, start[child]));
                     }
                 }
-            } else {
-                color.insert(*node, Color::Black);
-                stack.pop();
             }
         }
+        None
     }
-    None
 }
 
 /// Per-tile-edge wiring limits for the generalized feasibility check.
@@ -463,32 +552,82 @@ mod tests {
         assert!(matches!(err, Err(ValidateError::Loop { .. })));
     }
 
+    /// A dependency graph over `channels` channels from `(channel,
+    /// class)` node pairs.
+    fn graph(channels: usize, edges: &[[(u32, u8); 2]]) -> DepGraph {
+        let mut g = DepGraph::new(channels);
+        for &[(a, ca), (b, cb)] in edges {
+            g.add(DepGraph::node(a, ca), DepGraph::node(b, cb));
+        }
+        g
+    }
+
     #[test]
     fn cycle_finder_detects_simple_cycle() {
-        let mut deps: HashMap<(u32, u8), HashSet<(u32, u8)>> = HashMap::new();
-        deps.entry((0, 0)).or_default().insert((1, 0));
-        deps.entry((1, 0)).or_default().insert((2, 0));
-        deps.entry((2, 0)).or_default().insert((0, 0));
-        assert!(find_cycle(&deps).is_some());
+        let g = graph(3, &[[(0, 0), (1, 0)], [(1, 0), (2, 0)], [(2, 0), (0, 0)]]);
+        // The search starts at channel 0 and closes the cycle there.
+        assert_eq!(g.find_cycle(), Some(0));
     }
 
     #[test]
     fn cycle_finder_accepts_dag() {
-        let mut deps: HashMap<(u32, u8), HashSet<(u32, u8)>> = HashMap::new();
-        deps.entry((0, 0)).or_default().insert((1, 0));
-        deps.entry((0, 0)).or_default().insert((2, 0));
-        deps.entry((1, 0)).or_default().insert((2, 0));
-        assert!(find_cycle(&deps).is_none());
+        let g = graph(3, &[[(0, 0), (1, 0)], [(0, 0), (2, 0)], [(1, 0), (2, 0)]]);
+        assert!(g.find_cycle().is_none());
     }
 
     #[test]
     fn class_split_distinguishes_nodes() {
         // Same channels, different classes: no cycle.
-        let mut deps: HashMap<(u32, u8), HashSet<(u32, u8)>> = HashMap::new();
-        deps.entry((0, 0)).or_default().insert((1, 0));
-        deps.entry((1, 0)).or_default().insert((0, 1));
-        deps.entry((0, 1)).or_default().insert((1, 1));
-        assert!(find_cycle(&deps).is_none());
+        let g = graph(2, &[[(0, 0), (1, 0)], [(1, 0), (0, 1)], [(0, 1), (1, 1)]]);
+        assert!(g.find_cycle().is_none());
+    }
+
+    #[test]
+    fn cyclic_tables_name_a_deterministic_witness() {
+        // A 2x2 mesh whose vnet-0 tables send every diagonal pair the
+        // clockwise way round (R0 -> R1 -> R3 -> R2 -> R0): four turns that
+        // close a channel-dependency cycle.
+        use adaptnoc_sim::ids::Direction::{East, North, South, West};
+        let grid = Grid::new(2, 2);
+        let mut spec = mesh_chip(grid, &SimConfig::baseline()).unwrap();
+        let r = |x, y| grid.router(Coord::new(x, y));
+        let n = |x, y| grid.node(Coord::new(x, y));
+        let v = Vnet(0);
+        spec.tables.set(v, r(0, 0), n(1, 1), East.port());
+        spec.tables.set(v, r(1, 0), n(1, 1), North.port());
+        spec.tables.set(v, r(1, 0), n(0, 1), North.port());
+        spec.tables.set(v, r(1, 1), n(0, 1), West.port());
+        spec.tables.set(v, r(1, 1), n(0, 0), West.port());
+        spec.tables.set(v, r(0, 1), n(0, 0), South.port());
+        spec.tables.set(v, r(0, 1), n(1, 0), South.port());
+        spec.tables.set(v, r(0, 0), n(1, 0), East.port());
+        let nodes: Vec<NodeId> = grid.iter().map(|c| grid.node(c)).collect();
+        let pairs = all_pairs(&nodes);
+        // Every other route is one hop, so only the four turns create
+        // dependencies: the search starts on the cycle, at its
+        // lowest-numbered channel, and closes the cycle there.
+        let ring = |a: Coord, b: Coord| {
+            spec.channels
+                .iter()
+                .position(|c| c.src.router == grid.router(a) && c.dst.router == grid.router(b))
+                .expect("mesh neighbours share a channel") as u32
+        };
+        let cycle = [
+            ring(Coord::new(0, 0), Coord::new(1, 0)),
+            ring(Coord::new(1, 0), Coord::new(1, 1)),
+            ring(Coord::new(1, 1), Coord::new(0, 1)),
+            ring(Coord::new(0, 1), Coord::new(0, 0)),
+        ];
+        let lowest = ChannelId(*cycle.iter().min().unwrap());
+        for _ in 0..8 {
+            assert_eq!(
+                check_routes_and_deadlock(&spec, &pairs),
+                Err(ValidateError::DependencyCycle {
+                    vnet: v,
+                    witness: lowest
+                })
+            );
+        }
     }
 
     #[test]
