@@ -1,9 +1,12 @@
 //! Simulator throughput benchmark.
 //!
 //! Usage: `cargo run --release -p adaptnoc-bench --bin speed --
-//! [--cycles N] [--threads N] [--json PATH] [--full-sweep]
-//! [--rc-table-walk] [--metrics DIR] [--assert-off-within PCT]
-//! [--assert-full-min KCPS] [--scenario FILE]
+//! [--cycles N] [--threads N] [--json PATH] [--metrics DIR]
+//! [--assert-off-within PCT] [--assert-full-min KCPS] [--scenario FILE]`
+//!
+//! An unknown argument, a flag without its value or a malformed number is
+//! a usage error: the binary prints the usage line to standard error and
+//! exits with status 2 before measuring anything.
 //!
 //! Measures three workloads on the paper's mixed chip: an idle network
 //! (active-set fast path), the full three-app workload (steady-state
@@ -11,14 +14,8 @@
 //! (0 = auto-detect host parallelism). `--threads N` with N > 1 also
 //! steps the *single* full-load simulation region-parallel on a
 //! [`StepPool`] — output stays byte-identical to serial, so the packet
-//! count doubles as an equivalence check. `--full-sweep` disables
-//! active-set scheduling so the two modes can be compared directly; it is
-//! a serial validation baseline and refuses to combine with
-//! `--threads > 1`. `--rc-table-walk` disables lookahead route
-//! computation so every head flit re-walks the routing tables at each
-//! router (the classic RC path, kept as a debug reference); its packet
-//! count must be byte-identical to the lookahead default, which CI
-//! asserts. With `--json`, writes a `BENCH_<date>.json`-style
+//! count doubles as an equivalence check, which CI asserts. With
+//! `--json`, writes a `BENCH_<date>.json`-style
 //! record (cycles/sec, wall-clock, host cores, and per-stage span timings
 //! from a short sampled profiling pass) for tracking performance across
 //! commits.
@@ -52,49 +49,61 @@ struct Args {
     cycles: u64,
     threads: usize,
     json: Option<String>,
-    full_sweep: bool,
-    rc_table_walk: bool,
     metrics: Option<std::path::PathBuf>,
     assert_off_within: Option<f64>,
     assert_full_min: Option<f64>,
     scenario: Option<String>,
 }
 
+const USAGE: &str = "usage: speed [--cycles N] [--threads N] [--json PATH] [--metrics DIR] \
+                     [--assert-off-within PCT] [--assert-full-min KCPS] [--scenario FILE]";
+
+/// Reports a usage error on standard error and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses a flag's numeric value, or exits with a usage error.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, got {value:?}")))
+}
+
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
+    let mut args = Args {
+        cycles: 200_000,
+        threads: 1,
+        json: None,
+        metrics: None,
+        assert_off_within: None,
+        assert_full_min: None,
+        scenario: None,
     };
-    Args {
-        cycles: get("--cycles").map_or(200_000, |v| v.parse().expect("--cycles takes a number")),
-        threads: configured_threads(
-            get("--threads").map_or(1, |v| v.parse().expect("--threads takes a number")),
-        ),
-        json: get("--json"),
-        full_sweep: argv.iter().any(|a| a == "--full-sweep"),
-        rc_table_walk: argv.iter().any(|a| a == "--rc-table-walk"),
-        metrics: get("--metrics").map(std::path::PathBuf::from),
-        assert_off_within: get("--assert-off-within")
-            .map(|v| v.parse().expect("--assert-off-within takes a percentage")),
-        assert_full_min: get("--assert-full-min")
-            .map(|v| v.parse().expect("--assert-full-min takes Kc/s")),
-        scenario: get("--scenario"),
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} takes a value")))
+        };
+        match flag.as_str() {
+            "--cycles" => args.cycles = number(&flag, value()),
+            "--threads" => args.threads = number(&flag, value()),
+            "--json" => args.json = Some(value()),
+            "--metrics" => args.metrics = Some(value().into()),
+            "--assert-off-within" => args.assert_off_within = Some(number(&flag, value())),
+            "--assert-full-min" => args.assert_full_min = Some(number(&flag, value())),
+            "--scenario" => args.scenario = Some(value()),
+            _ => usage_error(&format!("unknown argument {flag:?}")),
+        }
     }
+    args.threads = configured_threads(args.threads);
+    args
 }
 
 fn main() {
     let args = parse_args();
-    if args.full_sweep && args.threads > 1 {
-        eprintln!(
-            "error: --full-sweep is a serial validation baseline and cannot be \
-             combined with --threads {} (region-parallel stepping); drop one of the flags",
-            args.threads
-        );
-        std::process::exit(2);
-    }
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let layout = ChipLayout::paper_mixed();
     let cfg = SimConfig::baseline();
@@ -103,15 +112,11 @@ fn main() {
         ("host_cores".into(), Value::Number(host_cores as f64)),
         ("threads".into(), Value::Number(args.threads as f64)),
         ("cycles".into(), Value::Number(args.cycles as f64)),
-        ("full_sweep".into(), Value::Bool(args.full_sweep)),
-        ("rc_table_walk".into(), Value::Bool(args.rc_table_walk)),
     ];
 
     // 1) Network alone, no traffic — pure scheduler overhead.
     let spec = mesh_chip(layout.grid, &cfg).unwrap();
     let mut net = Network::new(spec.clone(), cfg.clone()).unwrap();
-    net.set_full_sweep(args.full_sweep);
-    net.set_lookahead_rc(!args.rc_table_walk);
     let t0 = Instant::now();
     for _ in 0..args.cycles {
         net.step();
@@ -123,8 +128,6 @@ fn main() {
 
     // 2) Net + the three-app mixed workload under steady load.
     let mut net = Network::new(spec, cfg.clone()).unwrap();
-    net.set_full_sweep(args.full_sweep);
-    net.set_lookahead_rc(!args.rc_table_walk);
     if args.metrics.is_some() {
         net.set_telemetry_mode(TelemetryMode::Sampled(256));
     }
@@ -176,8 +179,6 @@ fn main() {
     if args.json.is_some() {
         let spec = mesh_chip(layout.grid, &cfg).unwrap();
         let mut pnet = Network::new(spec, cfg.clone()).unwrap();
-        pnet.set_full_sweep(args.full_sweep);
-        pnet.set_lookahead_rc(!args.rc_table_walk);
         pnet.set_telemetry_mode(TelemetryMode::Sampled(64));
         let mut wl = Workload::new(&layout, &profiles, 1);
         let mut pool = (args.threads > 1).then(|| StepPool::new(args.threads));

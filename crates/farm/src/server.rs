@@ -24,8 +24,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Unix signal handling: a raw `signal(2)` registration that flips an
-/// atomic — the only unsafe code in the workspace, kept to the smallest
-/// possible surface because the standard library offers no signal API.
+/// atomic — the farm's only unsafe code, kept to the smallest possible
+/// surface because the standard library offers no signal API. (The other
+/// unsafe code in the workspace is the simulator's banded router stage:
+/// `adaptnoc-sim`'s lifetime erasure in `Network::run_bands`, and the
+/// `Send` impls and raw-pointer channel access of `ChannelShard` in its
+/// `stage` module.)
 #[cfg(unix)]
 pub mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};

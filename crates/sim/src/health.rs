@@ -168,7 +168,8 @@ pub enum InvariantKind {
     /// broken, or an allocated VC lost its route or owner.
     Allocation,
     /// An active-set worklist lost track of a busy component (the bug class
-    /// that would silently freeze traffic under active-set stepping).
+    /// that would silently freeze traffic under active-set stepping), or
+    /// the cached static-power counts went stale with the dirty flag clear.
     Worklist,
     /// NI injection-lock state disagrees with the NIs sharing the port.
     NiLock,

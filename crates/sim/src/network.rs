@@ -21,7 +21,7 @@ use crate::json::Value;
 use crate::routing::RoutingTables;
 use crate::soa::{lane_out_vc, lane_route, VcLanes};
 use crate::spec::{ChannelKey, ChannelKind, NetworkSpec, SpecError};
-use crate::stage::{BandView, ChannelShard, StageScratch, StageSink};
+use crate::stage::{BandView, ChannelShard, StageSink, WorkerState};
 use crate::stats::{Delivered, EpochReport, NetStats};
 use crate::telem::{SimTelemetry, Stage};
 use adaptnoc_telemetry::{Registry, TelemetryMode};
@@ -305,10 +305,6 @@ pub struct Network {
     /// to survive 2^32 consecutive swaps to alias, and a swap drains
     /// through quiescence long before that.
     table_epoch: u32,
-    /// Whether route computation consumes lookahead ports resolved one hop
-    /// upstream (the default). Off = classic per-router table walk; kept as
-    /// a debug reference path for the lookahead equivalence suites.
-    lookahead_rc: bool,
     now: u64,
     routers: Vec<RouterRt>,
     /// Flat per-VC state (buffers, credits, routes, allocations); see
@@ -333,11 +329,10 @@ pub struct Network {
     router_forwarded: Vec<u64>,
     router_occupancy_sum: Vec<u64>,
     channel_flits: Vec<u64>,
-    /// Reusable router-stage sink and scratch (avoid per-cycle allocs).
-    sink: StageSink,
-    stage_scratch: StageScratch,
-    /// Reusable compacted busy-router list for the router stage.
-    kept_scratch: Vec<usize>,
+    /// Router-stage state of band 0, which always runs inline on the
+    /// stepping thread (the only band of a serial step). Persists across
+    /// cycles so the stage never allocates.
+    band0: WorkerState,
     /// Double buffer for `pending_credits` (avoids a per-cycle alloc).
     credits_scratch: Vec<(ChannelId, u8)>,
     /// Maximum port count over all routers (stage scratch sizing).
@@ -346,11 +341,6 @@ pub struct Network {
     /// Fault state by channel identity; survives reconfiguration (flags are
     /// re-applied to kept channels when the spec is swapped).
     faulted_keys: HashSet<ChannelKey>,
-    /// When set, `step()` sweeps every component every cycle instead of
-    /// using the active-set worklists (reference mode for equivalence
-    /// tests). The worklists are still maintained so the mode can be
-    /// toggled at any time.
-    full_sweep: bool,
     /// Channels with flits on the wire (invariant: non-empty queue implies
     /// membership; stale members are pruned lazily).
     busy_channels: Vec<usize>,
@@ -501,7 +491,6 @@ impl Network {
             cfg,
             spec: Arc::new(spec),
             table_epoch: 1,
-            lookahead_rc: true,
             now: 0,
             routers,
             lanes,
@@ -524,14 +513,11 @@ impl Network {
             router_forwarded: Vec::new(),
             router_occupancy_sum: Vec::new(),
             channel_flits: Vec::new(),
-            sink: StageSink::default(),
-            stage_scratch: StageScratch::default(),
-            kept_scratch: Vec::new(),
+            band0: WorkerState::default(),
             credits_scratch: Vec::new(),
             max_ports: 0,
             tracer: None,
             faulted_keys: HashSet::new(),
-            full_sweep: false,
             busy_channels: Vec::new(),
             busy_routers: Vec::new(),
             pending_wakes: Vec::new(),
@@ -608,14 +594,6 @@ impl Network {
         self.statics_dirty = true;
     }
 
-    /// Forces naive full-sweep stepping: every stage scans every component
-    /// every cycle instead of consulting the active-set worklists. The two
-    /// modes are cycle-for-cycle equivalent; full sweep exists as the
-    /// reference implementation for the equivalence property tests.
-    pub fn set_full_sweep(&mut self, on: bool) {
-        self.full_sweep = on;
-    }
-
     /// Current simulation cycle.
     pub fn now(&self) -> u64 {
         self.now
@@ -685,6 +663,19 @@ impl Network {
         }
     }
 
+    /// Starts waking a gated router: it resumes after the wake-up latency
+    /// (or sooner, if an earlier wake is already pending) and joins the
+    /// wake worklist.
+    fn schedule_wake(&mut self, ri: usize) {
+        let at = self.now + self.cfg.wake_latency as u64;
+        let r = &mut self.routers[ri];
+        r.wake_at = r.wake_at.min(at);
+        if !r.in_wake_list {
+            r.in_wake_list = true;
+            self.pending_wakes.push(ri);
+        }
+    }
+
     /// Drains all packets delivered since the last call.
     pub fn drain_delivered(&mut self) -> Vec<Delivered> {
         std::mem::take(&mut self.delivered)
@@ -721,26 +712,6 @@ impl Network {
         Arc::make_mut(&mut self.spec).tables = tables;
         // Invalidate every lookahead port resolved against the old tables.
         self.table_epoch = self.table_epoch.wrapping_add(1);
-    }
-
-    /// Enables or disables lookahead route computation (on by default).
-    ///
-    /// When on, a head flit's output port at the next router is resolved
-    /// one hop upstream (at switch traversal, or at the NI for the first
-    /// hop) and carried in the flit header, so the RC half of the fused
-    /// RC+VA scan is a pre-resolved load; the carried port is invalidated
-    /// by table swaps via the table epoch and re-walked when stale. When
-    /// off, every head walks the routing tables at each router (the
-    /// classic path). Both paths produce **byte-identical** simulations —
-    /// pinned by the `lookahead_equivalence` suite — so the flag exists
-    /// purely as the debug/reference side of that comparison.
-    pub fn set_lookahead_rc(&mut self, on: bool) {
-        self.lookahead_rc = on;
-    }
-
-    /// Whether lookahead route computation is enabled.
-    pub fn lookahead_rc(&self) -> bool {
-        self.lookahead_rc
     }
 
     /// Stalls a router's RC/VA/SA stages for `cycles` cycles, modeling the
@@ -792,15 +763,8 @@ impl Network {
     /// Begins waking a sleeping router; it resumes after the configured
     /// wake-up latency.
     pub fn wake_router(&mut self, router: RouterId) {
-        let wake_latency = self.cfg.wake_latency as u64;
-        let now = self.now;
-        let r = &mut self.routers[router.index()];
-        if r.sleeping {
-            r.wake_at = r.wake_at.min(now + wake_latency);
-            if !r.in_wake_list {
-                r.in_wake_list = true;
-                self.pending_wakes.push(router.index());
-            }
+        if self.routers[router.index()].sleeping {
+            self.schedule_wake(router.index());
         }
     }
 
@@ -992,6 +956,13 @@ impl Network {
 
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
+        self.cycle(None);
+    }
+
+    /// One cycle, serial (`pool` = `None`) or region-parallel. Every stage
+    /// walks its active-set worklist; the `Worklist` invariant guard checks
+    /// that no worklist leaves out a component that would act.
+    fn cycle(&mut self, pool: Option<&mut crate::par::StepPool>) {
         self.now += 1;
         let now = self.now;
 
@@ -1011,53 +982,29 @@ impl Network {
 
         // Router stages: RC + VA + SA (span-timed internally when `timed`,
         // split into RC+VA and SA+ST components).
-        self.router_stage(now, timed);
+        self.router_stage(now, timed, pool);
 
         self.step_finish(now);
     }
 
     /// Wakes routers whose wake-up latency elapsed (failed routers never
     /// wake). Only routers with a finite wake deadline can wake, so the
-    /// pending-wake worklist is exact; the full sweep re-derives the same
-    /// set as a cross-check.
+    /// pending-wake worklist is exact.
     fn step_wake(&mut self, now: u64) {
-        let mut dirty = false;
-        if self.full_sweep {
-            for r in self.routers.iter_mut() {
-                if r.sleeping && !r.failed && now >= r.wake_at {
-                    r.sleeping = false;
-                    r.wake_at = 0;
-                    dirty = true;
-                }
+        let (routers, dirty) = (&mut self.routers, &mut self.statics_dirty);
+        self.pending_wakes.retain(|&ri| {
+            let r = &mut routers[ri];
+            if r.sleeping && !r.failed && now >= r.wake_at {
+                r.sleeping = false;
+                r.wake_at = 0;
+                *dirty = true;
             }
-            let routers = &mut self.routers;
-            self.pending_wakes.retain(|&ri| {
-                let r = &mut routers[ri];
-                let keep = r.sleeping && !r.failed && r.wake_at != u64::MAX;
-                if !keep {
-                    r.in_wake_list = false;
-                }
-                keep
-            });
-        } else if !self.pending_wakes.is_empty() {
-            let routers = &mut self.routers;
-            self.pending_wakes.retain(|&ri| {
-                let r = &mut routers[ri];
-                if r.sleeping && !r.failed && now >= r.wake_at {
-                    r.sleeping = false;
-                    r.wake_at = 0;
-                    dirty = true;
-                }
-                let keep = r.sleeping && !r.failed && r.wake_at != u64::MAX;
-                if !keep {
-                    r.in_wake_list = false;
-                }
-                keep
-            });
-        }
-        if dirty {
-            self.statics_dirty = true;
-        }
+            let keep = r.sleeping && !r.failed && r.wake_at != u64::MAX;
+            if !keep {
+                r.in_wake_list = false;
+            }
+            keep
+        });
     }
 
     /// Applies credits scheduled last cycle. The drained list is kept as a
@@ -1093,26 +1040,10 @@ impl Network {
     /// Channel deliveries. Cross-channel order is immaterial (each channel
     /// feeds exactly one input port and all shared-counter updates
     /// commute), but the worklist is still walked in ascending index order
-    /// to mirror the full sweep exactly.
+    /// so the cycle never depends on the order channels joined the list.
     fn step_deliver(&mut self, now: u64, timed: bool) {
-        let t0 = if timed {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        if self.full_sweep {
-            for ci in 0..self.channels.len() {
-                self.deliver_channel(ci, now);
-            }
-            let channels = &mut self.channels;
-            self.busy_channels.retain(|&ci| {
-                let keep = !channels[ci].q.is_empty();
-                if !keep {
-                    channels[ci].in_busy_list = false;
-                }
-                keep
-            });
-        } else if !self.busy_channels.is_empty() {
+        let t0 = timed.then(std::time::Instant::now);
+        if !self.busy_channels.is_empty() {
             let mut busy = std::mem::take(&mut self.busy_channels);
             busy.sort_unstable();
             let mut w = 0;
@@ -1136,14 +1067,33 @@ impl Network {
         }
     }
 
-    /// NI injection (one flit per local port per cycle).
+    /// NI injection (one flit per local port per cycle). Ports whose NIs
+    /// hold no packets grant nothing and leave the round-robin pointer
+    /// untouched, so only worklisted ports run. The worklist is walked in
+    /// ascending (router, port) order, the order injections (and their
+    /// trace events) are defined in.
     fn step_inject(&mut self, now: u64, timed: bool) {
-        let t0 = if timed {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        self.inject_stage(now);
+        let t0 = timed.then(std::time::Instant::now);
+        if !self.active_inj.is_empty() {
+            let mut act = std::mem::take(&mut self.active_inj);
+            act.sort_unstable();
+            let mut w = 0;
+            for k in 0..act.len() {
+                let key = act[k];
+                let (ri, pi) = (key >> 8, key & 0xff);
+                self.inject_port(ri, pi, now);
+                if self.port_has_ni_work(ri, pi) {
+                    act[w] = key;
+                    w += 1;
+                } else {
+                    self.routers[ri].in_ports[pi].in_inj_list = false;
+                }
+            }
+            act.truncate(w);
+            debug_assert!(self.active_inj.is_empty(), "no marks during injection");
+            act.append(&mut self.active_inj);
+            self.active_inj = act;
+        }
         if let (Some(t0), Some(t)) = (t0, self.telem.as_mut()) {
             t.record_stage_ns(Stage::NiInject, t0.elapsed().as_nanos() as u64);
         }
@@ -1160,34 +1110,15 @@ impl Network {
 
         // Routers with zero flits contribute nothing, so the busy worklist
         // (which contains every router with flits > 0) suffices.
-        if self.full_sweep {
-            for (i, r) in self.routers.iter().enumerate() {
-                self.router_occupancy_sum[i] += r.flits as u64;
-            }
-        } else {
-            for &ri in &self.busy_routers {
-                self.router_occupancy_sum[ri] += self.routers[ri].flits as u64;
-            }
+        for &ri in &self.busy_routers {
+            self.router_occupancy_sum[ri] += self.routers[ri].flits as u64;
         }
 
         // Static on/off/port counts only change on power/wiring transitions;
-        // recompute lazily (always in full-sweep mode, so the equivalence
-        // tests also validate the dirty-flag bookkeeping).
-        if self.statics_dirty || self.full_sweep {
-            let mut on = 0u64;
-            let mut off = 0u64;
-            let mut ports_on = 0u64;
-            for r in &self.routers {
-                if r.active && !r.sleeping && !r.failed {
-                    on += 1;
-                    ports_on += r.ports_on as u64;
-                } else {
-                    off += 1;
-                }
-            }
-            self.static_on = on;
-            self.static_off = off;
-            self.static_ports_on = ports_on;
+        // recompute lazily (the `Worklist` guard checks the cache against a
+        // recount whenever the dirty flag is clear).
+        if self.statics_dirty {
+            (self.static_on, self.static_off, self.static_ports_on) = self.count_statics();
             self.statics_dirty = false;
         }
         let s = &mut self.statics;
@@ -1212,6 +1143,21 @@ impl Network {
         }
     }
 
+    /// Counts routers on, routers off, and wired ports of powered routers
+    /// from scratch (the static-power profile cached in `static_*`).
+    fn count_statics(&self) -> (u64, u64, u64) {
+        let (mut on, mut off, mut ports_on) = (0u64, 0u64, 0u64);
+        for r in &self.routers {
+            if r.active && !r.sleeping && !r.failed {
+                on += 1;
+                ports_on += r.ports_on as u64;
+            } else {
+                off += 1;
+            }
+        }
+        (on, off, ports_on)
+    }
+
     /// Delivers every flit whose wire latency elapsed on one channel.
     fn deliver_channel(&mut self, ci: usize, now: u64) {
         while let Some(&(arrive, _)) = self.channels[ci].q.front() {
@@ -1225,25 +1171,17 @@ impl Network {
             let dst = self.channels[ci].spec.dst;
             flit.ready_at = now + self.cfg.router_latency as u64;
             let ri = dst.router.index();
-            let router = &mut self.routers[ri];
-            if router.sleeping && !router.failed {
+            if self.routers[ri].sleeping && !self.routers[ri].failed {
                 // Arrival triggers wake-up (drowsy buffers still latch).
-                router.wake_at = router.wake_at.min(now + self.cfg.wake_latency as u64);
-                if !router.in_wake_list {
-                    router.in_wake_list = true;
-                    self.pending_wakes.push(ri);
-                }
+                self.schedule_wake(ri);
             }
             let vc = flit.assigned_vc as usize;
             let gp = self.lanes.gp(ri, dst.port.index());
             self.lanes.push_back(gp * self.cfg.total_vcs() + vc, flit);
             self.lanes.occ[gp] |= 1 << vc;
             self.lanes.scan[gp] |= 1 << vc;
-            router.flits += 1;
-            if !router.in_busy_list {
-                router.in_busy_list = true;
-                self.busy_routers.push(ri);
-            }
+            self.routers[ri].flits += 1;
+            self.mark_router_busy(ri);
             self.occupied_flits += 1;
             self.events.buffer_writes += 1;
         }
@@ -1254,53 +1192,6 @@ impl Network {
         for _ in 0..cycles {
             self.step();
         }
-    }
-
-    fn inject_stage(&mut self, now: u64) {
-        // Ports whose NIs hold no packets grant nothing and leave the
-        // round-robin pointer untouched, so skipping them is
-        // state-equivalent to the full sweep. The worklist is walked in
-        // ascending (router, port) order to match sweep order exactly.
-        if self.full_sweep {
-            for ri in 0..self.routers.len() {
-                let n_ports = self.routers[ri].in_ports.len();
-                for pi in 0..n_ports {
-                    self.inject_port(ri, pi, now);
-                }
-            }
-            let mut act = std::mem::take(&mut self.active_inj);
-            act.retain(|&key| {
-                let (ri, pi) = (key >> 8, key & 0xff);
-                let keep = self.port_has_ni_work(ri, pi);
-                if !keep {
-                    self.routers[ri].in_ports[pi].in_inj_list = false;
-                }
-                keep
-            });
-            self.active_inj = act;
-            return;
-        }
-        if self.active_inj.is_empty() {
-            return;
-        }
-        let mut act = std::mem::take(&mut self.active_inj);
-        act.sort_unstable();
-        let mut w = 0;
-        for k in 0..act.len() {
-            let key = act[k];
-            let (ri, pi) = (key >> 8, key & 0xff);
-            self.inject_port(ri, pi, now);
-            if self.port_has_ni_work(ri, pi) {
-                act[w] = key;
-                w += 1;
-            } else {
-                self.routers[ri].in_ports[pi].in_inj_list = false;
-            }
-        }
-        act.truncate(w);
-        debug_assert!(self.active_inj.is_empty(), "no marks during injection");
-        act.append(&mut self.active_inj);
-        self.active_inj = act;
     }
 
     /// Runs one injection port: round-robin among its NIs, at most one flit
@@ -1396,13 +1287,7 @@ impl Network {
         };
         self.ni_stream_flits -= 1;
         if self.routers[ri].sleeping {
-            let wake = now + self.cfg.wake_latency as u64;
-            let r = &mut self.routers[ri];
-            r.wake_at = r.wake_at.min(wake);
-            if !r.in_wake_list {
-                r.in_wake_list = true;
-                self.pending_wakes.push(ri);
-            }
+            self.schedule_wake(ri);
         }
         let gp = self.lanes.gp(ri, pi);
         let gv = gp * self.cfg.total_vcs() + vc as usize;
@@ -1418,7 +1303,7 @@ impl Network {
         };
         flit.assigned_vc = vc;
         flit.injected_at = now;
-        if self.lookahead_rc && flit.pos.is_head() {
+        if flit.pos.is_head() {
             // First-hop lookahead: resolve the output port at the source
             // router here, so RC at that router is a pre-resolved load.
             flit.la_port = match self
@@ -1462,9 +1347,8 @@ impl Network {
         }
     }
 
-    /// A band view covering the whole network (the serial router stage is
-    /// the one-band special case of the region-parallel path, so both run
-    /// the same kernels and the same sink merge).
+    /// A band view covering the whole network (a serial step's only band;
+    /// a parallel step splits it at the planned band boundaries).
     fn full_band_view(&mut self) -> BandView<'_> {
         BandView {
             ri0: 0,
@@ -1497,7 +1381,7 @@ impl Network {
             depth: self.lanes.depth,
             max_ports: self.max_ports,
             table_epoch: self.table_epoch,
-            lookahead: self.lookahead_rc,
+            trace_on: self.tracer.is_some(),
         }
     }
 
@@ -1509,17 +1393,14 @@ impl Network {
         if sink.is_empty() {
             return; // idle band; every apply below would be a no-op
         }
-        self.events.accumulate(&sink.events);
-        sink.events = EventCounts::default();
-        self.stats.flits_forwarded += sink.flits_forwarded;
-        self.totals.flits_forwarded += sink.flits_forwarded;
-        sink.flits_forwarded = 0;
-        self.unroutable += sink.unroutable;
-        sink.unroutable = 0;
-        self.occupied_flits -= sink.removed;
-        sink.removed = 0;
-        self.wire_flits += sink.wire_pushed;
-        sink.wire_pushed = 0;
+        use std::mem::take;
+        self.events.accumulate(&take(&mut sink.events));
+        let forwarded = take(&mut sink.flits_forwarded);
+        self.stats.flits_forwarded += forwarded;
+        self.totals.flits_forwarded += forwarded;
+        self.unroutable += take(&mut sink.unroutable);
+        self.occupied_flits -= take(&mut sink.removed);
+        self.wire_flits += take(&mut sink.wire_pushed);
         self.pending_credits.append(&mut sink.pending_credits);
         self.busy_channels.append(&mut sink.busy_channels);
         // The tracer applies its filter and capacity limit here, so the
@@ -1541,91 +1422,6 @@ impl Network {
         }
     }
 
-    fn router_stage(&mut self, now: u64, timed: bool) {
-        if !self.full_sweep && self.busy_routers.is_empty() {
-            // No router holds a flit: skip the sink/scratch shuffle entirely
-            // so the idle fast path stays a handful of branch tests. The
-            // zero-valued spans keep per-stage sample counts identical to a
-            // loaded cycle's.
-            if timed {
-                if let Some(t) = self.telem.as_mut() {
-                    t.record_stage_ns(Stage::RcVa, 0);
-                    t.record_stage_ns(Stage::SaSt, 0);
-                    t.record_stage_ns(Stage::Merge, 0);
-                }
-            }
-            return;
-        }
-        let mut sink = std::mem::take(&mut self.sink);
-        let mut scratch = std::mem::take(&mut self.stage_scratch);
-        sink.trace_on = self.tracer.is_some();
-        let mut rc_va_ns = 0u64;
-        let mut sa_st_ns = 0u64;
-        if self.full_sweep {
-            let mut view = self.full_band_view();
-            view.run_band_sweep(
-                now,
-                timed,
-                &mut sink,
-                &mut scratch,
-                &mut rc_va_ns,
-                &mut sa_st_ns,
-            );
-            let routers = &mut self.routers;
-            self.busy_routers.retain(|&ri| {
-                let keep = routers[ri].flits > 0;
-                if !keep {
-                    routers[ri].in_busy_list = false;
-                }
-                keep
-            });
-        } else if !self.busy_routers.is_empty() {
-            // Every router with buffered flits is in the worklist (they were
-            // marked when their flit count left zero); allocation only
-            // drains flits, so no router joins the list mid-stage. Ascending
-            // order mirrors the full sweep, keeping trace/delivery order
-            // identical.
-            let mut busy = std::mem::take(&mut self.busy_routers);
-            busy.sort_unstable();
-            let mut kept = std::mem::take(&mut self.kept_scratch);
-            kept.clear();
-            {
-                let mut view = self.full_band_view();
-                view.run_band(
-                    &busy,
-                    &mut kept,
-                    now,
-                    timed,
-                    &mut sink,
-                    &mut scratch,
-                    &mut rc_va_ns,
-                    &mut sa_st_ns,
-                );
-            }
-            debug_assert!(self.busy_routers.is_empty(), "no marks during allocation");
-            self.busy_routers = kept;
-            busy.clear();
-            self.kept_scratch = busy;
-        }
-        let t0 = if timed {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        self.apply_stage_sink(&mut sink);
-        if timed {
-            if let Some(t) = self.telem.as_mut() {
-                t.record_stage_ns(Stage::RcVa, rc_va_ns);
-                t.record_stage_ns(Stage::SaSt, sa_st_ns);
-                if let Some(t0) = t0 {
-                    t.record_stage_ns(Stage::Merge, t0.elapsed().as_nanos() as u64);
-                }
-            }
-        }
-        self.sink = sink;
-        self.stage_scratch = scratch;
-    }
-
     /// Advances the simulation by one cycle using region-parallel router
     /// stepping on `pool`.
     ///
@@ -1637,143 +1433,112 @@ impl Network {
     /// traces and telemetry counters are **byte-identical to
     /// [`step`](Self::step)** at any thread count. With a single-threaded
     /// pool this *is* `step`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network is in full-sweep reference mode
-    /// ([`set_full_sweep`](Self::set_full_sweep)): the sweep is a serial
-    /// validation baseline and intentionally has no parallel counterpart.
     pub fn step_parallel(&mut self, pool: &mut crate::par::StepPool) {
-        if pool.threads() <= 1 {
-            return self.step();
-        }
-        assert!(
-            !self.full_sweep,
-            "step_parallel does not support full-sweep reference mode; \
-             use Network::step (serial) for full-sweep runs"
-        );
-        self.now += 1;
-        let now = self.now;
-        let timed = match self.telem.as_mut() {
-            Some(t) => t.begin_cycle(now),
-            None => false,
-        };
-        self.step_wake(now);
-        self.step_credits();
-        self.step_deliver(now, timed);
-        self.step_inject(now, timed);
-        self.router_stage_parallel(now, timed, pool);
-        self.step_finish(now);
+        self.cycle(Some(pool));
     }
 
-    /// Runs `cycles` steps on `pool` (the parallel analogue of
-    /// [`run`](Self::run)).
-    pub fn run_parallel(&mut self, cycles: u64, pool: &mut crate::par::StepPool) {
-        for _ in 0..cycles {
-            self.step_parallel(pool);
-        }
-    }
-
-    /// The region-parallel router stage: split the band view at region
-    /// boundaries, run band 0 inline and the rest on the pool, then merge
-    /// every band's sink in ascending band order (see [`crate::par`] for
-    /// the determinism argument).
-    fn router_stage_parallel(&mut self, now: u64, timed: bool, pool: &mut crate::par::StepPool) {
-        use crate::stage::{run_band_job, split_band, BandJob};
-
-        if self.busy_routers.is_empty() {
-            // No router holds a flit; the serial path would also skip the
-            // kernels and apply an empty sink.
-            if timed {
-                if let Some(t) = self.telem.as_mut() {
-                    t.record_stage_ns(Stage::RcVa, 0);
-                    t.record_stage_ns(Stage::SaSt, 0);
-                    t.record_stage_ns(Stage::Merge, 0);
-                }
-            }
-            return;
-        }
-
-        let mut busy = std::mem::take(&mut self.busy_routers);
-        busy.sort_unstable();
-        let trace_on = self.tracer.is_some();
-        let bounds = pool.plan(self.routers.len());
-        let bands = bounds.len() - 1;
-
-        // Lifetime-erase the band views and busy slices so the persistent
-        // worker pool can hold them across the spawn boundary. SAFETY: the
-        // jobs borrow `self` and `busy`, both of which outlive the
-        // dispatch/wait window below — `self` is exclusively borrowed for
-        // the whole call and is not touched again until after `pool.wait()`,
-        // and `busy` is neither moved nor mutated until after the wait.
-        // Bands are disjoint by construction (`split_band`), and the wait
-        // barrier orders all worker writes before the merge reads.
-        let mut jobs: Vec<BandJob> = Vec::with_capacity(bands);
-        {
-            #[allow(unsafe_code)]
-            let busy_view: &'static [usize] =
-                unsafe { std::mem::transmute::<&[usize], &'static [usize]>(&busy[..]) };
-            let view = self.full_band_view();
-            #[allow(unsafe_code)]
-            let mut rest = unsafe { std::mem::transmute::<BandView<'_>, BandView<'static>>(view) };
-            for b in 0..bands {
-                let (band_view, remainder) = if b + 1 < bands {
-                    let (a, r) = split_band(rest, bounds[b + 1]);
-                    (a, Some(r))
-                } else {
-                    (rest, None)
-                };
-                let lo = busy_view.partition_point(|&ri| ri < bounds[b]);
-                let hi = busy_view.partition_point(|&ri| ri < bounds[b + 1]);
-                jobs.push(BandJob {
-                    view: band_view,
-                    busy: &busy_view[lo..hi],
-                    now,
-                    timed,
-                    trace_on,
-                });
-                match remainder {
-                    Some(r) => rest = r,
-                    None => break,
-                }
-            }
-        }
-
-        // Band 0 runs here; bands 1.. on the workers.
-        let first = jobs.remove(0);
-        pool.dispatch(jobs);
-        run_band_job(first, pool.main_state());
-        pool.wait();
-
-        // Deterministic merge: ascending band order reproduces the serial
-        // ascending-router walk byte for byte.
-        let t0 = if timed {
-            Some(std::time::Instant::now())
+    /// The router stage (RC + VA + SA + ST) and its three spans.
+    fn router_stage(&mut self, now: u64, timed: bool, pool: Option<&mut crate::par::StepPool>) {
+        // No router holds a flit: skip the band shuffle entirely so the
+        // idle fast path stays a handful of branch tests. The zero-valued
+        // spans keep per-stage sample counts identical to a loaded cycle's.
+        let (rc_va_ns, sa_st_ns, merge_ns) = if self.busy_routers.is_empty() {
+            (0, 0, 0)
         } else {
-            None
+            self.run_bands(now, timed, pool)
         };
-        debug_assert!(self.busy_routers.is_empty(), "no marks during allocation");
-        busy.clear();
-        let mut rc_va_ns = 0u64;
-        let mut sa_st_ns = 0u64;
-        pool.merge_states(|state| {
-            rc_va_ns += state.rc_va_ns;
-            sa_st_ns += state.sa_st_ns;
-            // Band kept-lists are each ascending and bands cover ascending
-            // router ranges, so the concatenation is the serial kept order.
-            busy.extend_from_slice(&state.kept);
-            self.apply_stage_sink(&mut state.sink);
-        });
-        self.busy_routers = busy;
         if timed {
             if let Some(t) = self.telem.as_mut() {
                 t.record_stage_ns(Stage::RcVa, rc_va_ns);
                 t.record_stage_ns(Stage::SaSt, sa_st_ns);
-                if let Some(t0) = t0 {
-                    t.record_stage_ns(Stage::Merge, t0.elapsed().as_nanos() as u64);
-                }
+                t.record_stage_ns(Stage::Merge, merge_ns);
             }
         }
+    }
+
+    /// Runs the router stage over the busy-router worklist, split into
+    /// contiguous router bands: one band for a serial step, one per planned
+    /// band of `pool` otherwise. Band 0 runs inline on `band0`, bands 1.. on
+    /// the pool's workers; the band states are then merged in ascending
+    /// band order, which reproduces the ascending-router walk byte for byte
+    /// (see [`crate::par`] for the determinism argument). Returns the RC+VA,
+    /// SA+ST and merge span times (zero on untimed cycles).
+    fn run_bands(
+        &mut self,
+        now: u64,
+        timed: bool,
+        pool: Option<&mut crate::par::StepPool>,
+    ) -> (u64, u64, u64) {
+        use crate::stage::{run_band_job, split_band, BandJob};
+
+        // Every router with buffered flits is in the worklist (they were
+        // marked when their flit count left zero); allocation only drains
+        // flits, so no router joins the list mid-stage. The walk runs in
+        // ascending router order, which fixes trace and delivery order.
+        let mut busy = std::mem::take(&mut self.busy_routers);
+        busy.sort_unstable();
+        // A pool that plans a single band steps exactly like no pool.
+        let n_routers = self.routers.len();
+        let mut pool = pool.and_then(|p| (p.plan(n_routers) > 1).then_some(p));
+        let mut band0 = std::mem::take(&mut self.band0);
+        {
+            let job = BandJob {
+                view: self.full_band_view(),
+                busy: &busy,
+                now,
+                timed,
+            };
+            let first = match pool.as_deref_mut() {
+                Some(pool) => {
+                    let (first, rest) = split_band(job.view, pool.bounds()[1]);
+                    let rest = BandJob { view: rest, ..job };
+                    // Lifetime-erase the job for bands 1.. so the persistent
+                    // worker pool can hold it across the spawn boundary.
+                    // SAFETY: the job borrows `self` and `busy`, both of
+                    // which outlive the dispatch/wait window below — `self`
+                    // is exclusively borrowed for the whole call and is not
+                    // touched again until after `pool.wait()`, and `busy` is
+                    // neither moved nor mutated until after the wait. Bands
+                    // are disjoint by construction (`split_band`), and the
+                    // wait barrier orders all worker writes before the merge
+                    // reads.
+                    #[allow(unsafe_code)]
+                    let rest =
+                        unsafe { std::mem::transmute::<BandJob<'_>, BandJob<'static>>(rest) };
+                    pool.dispatch(rest);
+                    BandJob { view: first, ..job }
+                }
+                None => job,
+            };
+            run_band_job(first, &mut band0);
+            if let Some(pool) = pool.as_deref_mut() {
+                pool.wait();
+            }
+        }
+
+        // Deterministic merge in ascending band order. Band kept-lists are
+        // each ascending and bands cover ascending router ranges, so their
+        // concatenation is the serial kept order: band 0's list becomes the
+        // worklist outright (the old list is recycled as its next buffer)
+        // and bands 1.. append theirs.
+        let t0 = timed.then(std::time::Instant::now);
+        debug_assert!(self.busy_routers.is_empty(), "no marks during allocation");
+        std::mem::swap(&mut busy, &mut band0.kept);
+        let mut rc_va_ns = band0.rc_va_ns;
+        let mut sa_st_ns = band0.sa_st_ns;
+        self.apply_stage_sink(&mut band0.sink);
+        if let Some(pool) = pool {
+            pool.merge_states(|state| {
+                rc_va_ns += state.rc_va_ns;
+                sa_st_ns += state.sa_st_ns;
+                busy.extend_from_slice(&state.kept);
+                self.apply_stage_sink(&mut state.sink);
+            });
+        }
+        self.busy_routers = busy;
+        self.band0 = band0;
+        let merge_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        (rc_va_ns, sa_st_ns, merge_ns)
     }
 
     /// Structurally reconfigures the network to `new_spec`, preserving all
@@ -3215,6 +2980,20 @@ impl Network {
                 format!("injection list entry {key:#x} names no port"),
             ));
         }
+        // Static-power cache: with the dirty flag clear, the cached counts
+        // must equal a recount (a power or wiring change that forgot to set
+        // the flag would bill stale static energy until the next one).
+        let cached = (self.static_on, self.static_off, self.static_ports_on);
+        if !self.statics_dirty && cached != self.count_statics() {
+            out.push(InvariantViolation::new(
+                InvariantKind::Worklist,
+                format!(
+                    "cached static counts (on, off, ports on) {cached:?} disagree with \
+                     the recount {:?} while the dirty flag is clear",
+                    self.count_statics()
+                ),
+            ));
+        }
 
         out
     }
@@ -4367,6 +4146,67 @@ mod tests {
                 let reaped = reap_run(strike, seed);
                 assert!(reaped > 0, "{strike:?} seed {seed} reaped nothing");
             }
+        }
+    }
+
+    // ---- Worklist guard: every active-set cache, corrupted in turn ----
+
+    #[test]
+    fn worklist_guard_catches_each_dropped_cache_entry() {
+        type Corrupt = fn(&mut Network);
+        let cases: [(&str, Corrupt); 5] = [
+            ("busy router", |n| {
+                let k = n.busy_routers.iter().position(|&r| n.routers[r].flits > 0);
+                n.busy_routers.remove(k.expect("a router buffers flits"));
+            }),
+            ("busy channel", |n| {
+                let k = n
+                    .busy_channels
+                    .iter()
+                    .position(|&c| !n.channels[c].q.is_empty());
+                n.busy_channels.remove(k.expect("a channel carries flits"));
+            }),
+            ("wake list", |n| {
+                assert!(!n.pending_wakes.is_empty(), "a router is waking");
+                n.pending_wakes.remove(0);
+            }),
+            ("injection port", |n| {
+                let k = n
+                    .active_inj
+                    .iter()
+                    .position(|&k| n.port_has_ni_work(k >> 8, k & 0xff));
+                n.active_inj.remove(k.expect("an NI holds packets"));
+            }),
+            ("static counts", |n| {
+                assert!(!n.statics_dirty, "the static cache is clean after a step");
+                n.static_on += 1;
+            }),
+        ];
+        // A loaded 4x4 mesh with every cache populated: flits in routers
+        // and on wires, NIs holding queued packets, a gated router waking.
+        let mut loaded = Network::new(mesh_spec(4, 4, false), SimConfig::baseline()).unwrap();
+        loaded.set_guard_mode(GuardMode::Off);
+        assert!(loaded.try_sleep_router(RouterId(15)));
+        loaded.wake_router(RouterId(15));
+        for id in 0..96u64 {
+            let (s, round) = ((id % 16) as u16, (id / 16) as u16);
+            let pkt = Packet::reply(id, NodeId(s), NodeId((s + 5 + round) % 16), 0);
+            loaded.inject(pkt).unwrap();
+        }
+        loaded.run(6);
+        assert_eq!(
+            loaded.check_invariants(),
+            Vec::new(),
+            "clean before corruption"
+        );
+        for (what, corrupt) in cases {
+            let mut net = loaded.clone();
+            corrupt(&mut net);
+            let violations = net.check_invariants();
+            assert!(
+                violations.iter().any(|v| v.kind == InvariantKind::Worklist),
+                "corrupting the {what} cache went unreported: {violations:?}"
+            );
         }
     }
 }

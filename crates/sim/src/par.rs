@@ -23,13 +23,15 @@
 //! also applied a cycle later; both lists are concatenated in band order at
 //! the barrier so their apply order matches the serial walk exactly.
 //!
-//! The pool runs band 0 on the calling thread and bands 1.. on the
-//! workers, then blocks until every worker acknowledges the cycle. Workers
-//! park on a condvar between cycles; per-band scratch (candidate lists,
-//! kept-lists, sinks) persists across cycles so the steady-state hot loop
-//! performs no allocation.
+//! Band 0 runs on the calling thread, on band state the network owns (a
+//! serial step is the one-band case of the same stage); the pool runs
+//! bands 1.. on its workers, then blocks until every worker acknowledges
+//! the cycle. Workers park on a condvar between cycles; the band plan,
+//! the job slots and the per-band state (candidate lists, kept-lists,
+//! sinks) persist across cycles, so the steady-state hot loop performs no
+//! allocation.
 
-use crate::stage::{BandJob, WorkerState};
+use crate::stage::{split_band, BandJob, WorkerState};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -48,9 +50,9 @@ impl RegionMap {
     /// An even split of `n_routers` routers into `bands` contiguous bands
     /// (clamped to at most one band per router, at least one band).
     pub fn even(n_routers: usize, bands: usize) -> RegionMap {
-        let bands = bands.clamp(1, n_routers.max(1));
-        let bounds = (0..=bands).map(|b| b * n_routers / bands).collect();
-        RegionMap { bounds }
+        RegionMap {
+            bounds: even_bounds(n_routers, bands).collect(),
+        }
     }
 
     /// A custom split from explicit band boundaries.
@@ -85,6 +87,14 @@ impl RegionMap {
     }
 }
 
+/// The boundaries of an even split of `n_routers` routers into `bands`
+/// contiguous bands (clamped to at most one band per router, at least one
+/// band).
+fn even_bounds(n_routers: usize, bands: usize) -> impl Iterator<Item = usize> {
+    let bands = bands.clamp(1, n_routers.max(1));
+    (0..=bands).map(move |b| b * n_routers / bands)
+}
+
 /// Synchronization state shared by the pool owner and all workers.
 #[derive(Debug, Default)]
 struct PoolShared {
@@ -102,7 +112,7 @@ struct PoolShared {
 /// persistent band state the worker runs it into.
 #[derive(Default)]
 struct WorkerShared {
-    job: Mutex<Option<BandJob>>,
+    job: Mutex<Option<BandJob<'static>>>,
     state: Mutex<WorkerState>,
 }
 
@@ -123,10 +133,11 @@ pub struct StepPool {
     shared: Arc<PoolShared>,
     workers: Vec<Arc<WorkerShared>>,
     handles: Vec<JoinHandle<()>>,
-    /// Band state for the band the calling thread runs itself.
-    main_state: WorkerState,
     /// Optional custom band partition (aligned to subNoC regions).
     regions: Option<RegionMap>,
+    /// Band boundaries of the current cycle's plan (storage reused across
+    /// cycles).
+    bounds: Vec<usize>,
 }
 
 impl std::fmt::Debug for StepPool {
@@ -160,8 +171,8 @@ impl StepPool {
             shared,
             workers,
             handles,
-            main_state: WorkerState::default(),
             regions: None,
+            bounds: Vec::new(),
         }
     }
 
@@ -179,23 +190,41 @@ impl StepPool {
         self.regions = map;
     }
 
-    /// Band boundaries for stepping a network of `n_routers` routers.
-    pub(crate) fn plan(&self, n_routers: usize) -> Vec<usize> {
-        if let Some(m) = &self.regions {
-            if m.routers() == n_routers && m.bands() <= self.threads() {
-                return m.bounds.clone();
+    /// Plans the bands for stepping a network of `n_routers` routers (the
+    /// installed region map when it applies, else an even split) and
+    /// returns the band count; [`bounds`](Self::bounds) reads the plan.
+    pub(crate) fn plan(&mut self, n_routers: usize) -> usize {
+        self.bounds.clear();
+        match &self.regions {
+            Some(m) if m.routers() == n_routers && m.bands() <= self.threads() => {
+                self.bounds.extend_from_slice(&m.bounds);
             }
+            _ => self.bounds.extend(even_bounds(n_routers, self.threads())),
         }
-        RegionMap::even(n_routers, self.threads()).bounds
+        self.bounds.len() - 1
     }
 
-    /// Hands `jobs` to workers 0.. and releases them for one generation.
-    /// Always paired with a following [`wait`](Self::wait).
-    pub(crate) fn dispatch(&mut self, jobs: Vec<BandJob>) {
-        debug_assert!(jobs.len() <= self.workers.len(), "more jobs than workers");
-        for (w, job) in self.workers.iter().zip(jobs) {
-            *w.job.lock().expect("job slot poisoned") = Some(job);
+    /// The band boundaries of the current plan (`bands + 1` entries).
+    pub(crate) fn bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+
+    /// Hands bands 1.. of the current plan to workers 0.. and releases the
+    /// workers for one generation. `rest` is the job covering bands 1..;
+    /// it is split at the planned boundaries. Always paired with a
+    /// following [`wait`](Self::wait).
+    pub(crate) fn dispatch(&mut self, mut rest: BandJob<'static>) {
+        let last = self.bounds.len() - 2;
+        debug_assert!(last <= self.workers.len(), "more bands than workers");
+        let post = |b: usize, job| {
+            *self.workers[b - 1].job.lock().expect("job slot poisoned") = Some(job);
+        };
+        for b in 1..last {
+            let (view, tail) = split_band(rest.view, self.bounds[b + 1]);
+            rest.view = tail;
+            post(b, BandJob { view, ..rest });
         }
+        post(last, rest);
         *self.shared.done.lock().expect("done counter poisoned") = 0;
         let mut gen = self.shared.gen.lock().expect("generation poisoned");
         *gen += 1;
@@ -214,18 +243,12 @@ impl StepPool {
         }
     }
 
-    /// The calling thread's band state (band 0).
-    pub(crate) fn main_state(&mut self) -> &mut WorkerState {
-        &mut self.main_state
-    }
-
-    /// Runs `f` over every band state in ascending band order (band 0 =
-    /// the calling thread's state, then the workers). Must only be called
-    /// after [`wait`](Self::wait) — the worker state locks are uncontended
-    /// then.
-    pub(crate) fn merge_states(&mut self, mut f: impl FnMut(&mut WorkerState)) {
-        f(&mut self.main_state);
-        for w in &self.workers {
+    /// Runs `f` over the states of bands 1.. of the current plan in
+    /// ascending band order. Must only be called after
+    /// [`wait`](Self::wait) — the worker state locks are uncontended then.
+    pub(crate) fn merge_states(&self, mut f: impl FnMut(&mut WorkerState)) {
+        let bands = self.bounds.len() - 1;
+        for w in &self.workers[..bands - 1] {
             f(&mut w.state.lock().expect("worker state poisoned"));
         }
     }
@@ -300,11 +323,14 @@ mod tests {
     #[test]
     fn pool_plan_prefers_matching_region_map() {
         let mut pool = StepPool::new(2);
-        assert_eq!(pool.plan(8), vec![0, 4, 8]);
+        assert_eq!(pool.plan(8), 2);
+        assert_eq!(pool.bounds(), &[0, 4, 8]);
         pool.set_regions(Some(RegionMap::from_bounds(vec![0, 6, 8])));
-        assert_eq!(pool.plan(8), vec![0, 6, 8]);
+        pool.plan(8);
+        assert_eq!(pool.bounds(), &[0, 6, 8]);
         // Mismatched router count falls back to the even split.
-        assert_eq!(pool.plan(10), vec![0, 5, 10]);
+        pool.plan(10);
+        assert_eq!(pool.bounds(), &[0, 5, 10]);
     }
 
     #[test]

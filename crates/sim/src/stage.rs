@@ -2,24 +2,25 @@
 //!
 //! [`BandView`] borrows a contiguous router range plus the matching
 //! sub-slices of every [`crate::soa::VcLanes`] array, and runs the
-//! allocation kernels over it. The serial stepper uses one band covering
-//! the whole network; the region-parallel stepper
-//! ([`crate::par::StepPool`]) splits the view at router boundaries with
-//! [`split_band`] and runs one band per worker.
+//! allocation kernels over it. A serial step is one band covering the
+//! whole network; a region-parallel step ([`crate::par::StepPool`]) splits
+//! the view at router boundaries with [`split_band`] and runs one band per
+//! thread.
 //!
 //! Route computation is **lookahead**: when switch traversal pushes a
 //! head flit onto a channel it also resolves, from the shared read-only
 //! routing tables, the output port the flit will request at the channel's
 //! *destination* router, and carries it in the flit header stamped with
 //! the current table epoch. RC at the receiving router is then a
-//! pre-resolved load; it re-walks the tables only when the carried epoch
-//! is stale (the tables were swapped mid-flight) or lookahead is disabled
-//! ([`BandView::lookahead`]). VC allocation is likewise mask-driven: the
-//! candidate set per (output port, VC class) is a precomputed bitmask
-//! (`RouterRt::va_cand`) intersected with the live output-VC occupancy
-//! mask, iterated via `trailing_zeros` in the same ascending order the
-//! classic probe loop used. Both fast paths are byte-identical to the
-//! classic pipeline (pinned by `tests/lookahead_equivalence.rs`).
+//! pre-resolved load; it walks the tables only when the carried epoch is
+//! stale (the tables were swapped mid-flight) or no port was carried
+//! (`LA_NONE`). In debug builds every honoured carried port is asserted
+//! equal to a live table walk, so each head flit of every debug run checks
+//! the fast path against its reference. VC allocation is likewise
+//! mask-driven: the candidate set per (output port, VC class) is a
+//! precomputed bitmask (`RouterRt::va_cand`) intersected with the live
+//! output-VC occupancy mask, iterated via `trailing_zeros` in the same
+//! ascending order the classic probe loop used.
 //!
 //! Within one cycle's router stage there is **no cross-router
 //! interaction**: forwarded flits enter channel queues (delivered next
@@ -60,10 +61,9 @@ pub(crate) struct StageSink {
     pub(crate) pending_credits: Vec<(ChannelId, u8)>,
     /// Channels that left the idle state (busy-worklist additions).
     pub(crate) busy_channels: Vec<usize>,
-    /// Trace events in intra-band order (only filled when `trace_on`).
+    /// Trace events in intra-band order (only filled when the band view's
+    /// `trace_on` is set).
     pub(crate) trace: Vec<TraceEvent>,
-    /// Whether a tracer is attached this cycle.
-    pub(crate) trace_on: bool,
     /// Delivered packets in intra-band order.
     pub(crate) delivered: Vec<Delivered>,
 }
@@ -229,10 +229,9 @@ pub(crate) struct BandView<'a> {
     /// The network's current routing-table epoch; a head flit's carried
     /// lookahead port is honoured only when its `la_epoch` matches.
     pub(crate) table_epoch: u32,
-    /// Whether RC consumes carried lookahead ports (and ST resolves them
-    /// one hop ahead). Off = the classic per-router table walk, kept as a
-    /// debug reference path for the equivalence suites.
-    pub(crate) lookahead: bool,
+    /// Whether a tracer is attached (forward and eject events are
+    /// buffered in the sink only then).
+    pub(crate) trace_on: bool,
 }
 
 /// Splits `view` into `[ri0, mid)` and `[mid, end)` bands at a router
@@ -261,15 +260,14 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
     let (ln_a, ln_b) = view.len.split_at_mut(n_v);
     let (sl_a, sl_b) = view.slots.split_at_mut(n_v * view.depth);
     let (fw_a, fw_b) = view.router_forwarded.split_at_mut(n_r);
+    // The remaining fields (offsets, read-only shares, sizes, and the
+    // duplicated channel shard) are `Copy` and carried over from `view`.
     let a = BandView {
-        ri0: view.ri0,
         routers: r_a,
-        gp0: view.gp0,
         occ: occ_a,
         scan: scan_a,
         va_rr: vrr_a,
         sa_rr: srr_a,
-        gv0: view.gv0,
         lane: lane_a,
         routed: rt_a,
         va_meta: vm_a,
@@ -282,17 +280,7 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         len: ln_a,
         slots: sl_a,
         router_forwarded: fw_a,
-        channels: view.channels,
-        spec: view.spec,
-        port_base: view.port_base,
-        out_channel: view.out_channel,
-        feeder: view.feeder,
-        total_vcs: view.total_vcs,
-        vcs_per_vnet: view.vcs_per_vnet,
-        depth: view.depth,
-        max_ports: view.max_ports,
-        table_epoch: view.table_epoch,
-        lookahead: view.lookahead,
+        ..view
     };
     let b = BandView {
         ri0: mid,
@@ -315,17 +303,7 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         len: ln_b,
         slots: sl_b,
         router_forwarded: fw_b,
-        channels: view.channels,
-        spec: view.spec,
-        port_base: view.port_base,
-        out_channel: view.out_channel,
-        feeder: view.feeder,
-        total_vcs: view.total_vcs,
-        vcs_per_vnet: view.vcs_per_vnet,
-        depth: view.depth,
-        max_ports: view.max_ports,
-        table_epoch: view.table_epoch,
-        lookahead: view.lookahead,
+        ..view
     };
     (a, b)
 }
@@ -359,23 +337,11 @@ impl BandView<'_> {
         );
     }
 
-    /// Resets the per-cycle scratch for a band walk.
-    fn prep_scratch(&self, scratch: &mut StageScratch) {
-        if scratch.per_port.len() < self.max_ports {
-            scratch.per_port.resize_with(self.max_ports, Vec::new);
-            scratch.sa_port.resize_with(self.max_ports, Vec::new);
-        }
-        scratch.sa_flat.clear();
-        scratch.sa_ranges.clear();
-        scratch.sa_masks.clear();
-        scratch.alive.clear();
-        scratch.processed.clear();
-    }
-
-    /// Runs the active-set router stage over this band's slice of the
-    /// sorted busy-router worklist, compacting survivors into `kept` and
-    /// clearing the busy flag of routers that drained (mirroring the
-    /// serial worklist walk exactly).
+    /// Runs the active-set router stage over the band's routers in the
+    /// ascending busy-router worklist `busy` into `state`: side effects go
+    /// to its sink, routers that still hold flits to its kept-list (routers
+    /// that drained have their busy flag cleared), span times to its
+    /// counters.
     ///
     /// On an untimed cycle (the overwhelmingly common case) the walk is
     /// fused: each router runs RC+VA and then immediately SA+ST off the
@@ -390,21 +356,34 @@ impl BandView<'_> {
     /// observation-only suite), and the phase split lets the stage spans
     /// be taken once per band instead of twice per router (a clock read
     /// costs more than a small router's whole scan; see DESIGN.md §13).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_band(
         &mut self,
         busy: &[usize],
-        kept: &mut Vec<usize>,
         now: u64,
         timed: bool,
-        sink: &mut StageSink,
-        scratch: &mut StageScratch,
-        rc_va_ns: &mut u64,
-        sa_st_ns: &mut u64,
+        state: &mut WorkerState,
     ) {
-        self.prep_scratch(scratch);
+        let WorkerState {
+            sink,
+            scratch,
+            kept,
+            rc_va_ns,
+            sa_st_ns,
+        } = state;
+        kept.clear();
+        if scratch.per_port.len() < self.max_ports {
+            scratch.per_port.resize_with(self.max_ports, Vec::new);
+            scratch.sa_port.resize_with(self.max_ports, Vec::new);
+        }
+        scratch.sa_flat.clear();
+        scratch.sa_ranges.clear();
+        scratch.sa_masks.clear();
+        scratch.alive.clear();
+        scratch.processed.clear();
+        let lo = busy.partition_point(|&ri| ri < self.ri0);
+        let hi = busy.partition_point(|&ri| ri < self.ri0 + self.routers.len());
         let t0 = timed.then(std::time::Instant::now);
-        for &ri in busy {
+        for &ri in &busy[lo..hi] {
             let lr = ri - self.ri0;
             if self.routers[lr].flits == 0 {
                 self.routers[lr].in_busy_list = false;
@@ -422,14 +401,14 @@ impl BandView<'_> {
                 self.vc_allocate(ri, now, sink, scratch, !timed);
             }
         }
-        if timed {
-            let t1 = std::time::Instant::now();
-            self.switch_band(now, sink, scratch);
-            if let Some(t0) = t0 {
-                *rc_va_ns += (t1 - t0).as_nanos() as u64;
-                *sa_st_ns += t1.elapsed().as_nanos() as u64;
+        (*rc_va_ns, *sa_st_ns) = match t0 {
+            Some(t0) => {
+                let t1 = std::time::Instant::now();
+                self.switch_band(now, sink, scratch);
+                ((t1 - t0).as_nanos() as u64, t1.elapsed().as_nanos() as u64)
             }
-        }
+            None => (0, 0),
+        };
         for k in 0..scratch.alive.len() {
             let ri = scratch.alive[k] as usize;
             let lr = ri - self.ri0;
@@ -437,43 +416,6 @@ impl BandView<'_> {
                 kept.push(ri);
             } else {
                 self.routers[lr].in_busy_list = false;
-            }
-        }
-    }
-
-    /// Runs the full-sweep router stage over every router of the band
-    /// (reference mode; worklist retention happens in the caller). Same
-    /// fused-unless-timed walk as [`Self::run_band`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_band_sweep(
-        &mut self,
-        now: u64,
-        timed: bool,
-        sink: &mut StageSink,
-        scratch: &mut StageScratch,
-        rc_va_ns: &mut u64,
-        sa_st_ns: &mut u64,
-    ) {
-        self.prep_scratch(scratch);
-        let t0 = timed.then(std::time::Instant::now);
-        for lr in 0..self.routers.len() {
-            {
-                let r = &self.routers[lr];
-                if !r.active || r.sleeping || r.failed || r.config_until > now || r.flits == 0 {
-                    continue;
-                }
-            }
-            if timed {
-                scratch.processed.push((self.ri0 + lr) as u32);
-            }
-            self.vc_allocate(self.ri0 + lr, now, sink, scratch, !timed);
-        }
-        if timed {
-            let t1 = std::time::Instant::now();
-            self.switch_band(now, sink, scratch);
-            if let Some(t0) = t0 {
-                *rc_va_ns += (t1 - t0).as_nanos() as u64;
-                *sa_st_ns += t1.elapsed().as_nanos() as u64;
             }
         }
     }
@@ -613,8 +555,7 @@ impl BandView<'_> {
                         // the tables currently installed. A stale epoch —
                         // the tables were swapped while the flit was in
                         // flight — falls back to the classic table walk.
-                        let port = if self.lookahead
-                            && front.la_epoch == self.table_epoch
+                        let port = if front.la_epoch == self.table_epoch
                             && front.la_port != crate::flit::LA_NONE
                         {
                             debug_assert_eq!(
@@ -890,7 +831,7 @@ impl BandView<'_> {
         sink.events.sa_grants += 1;
         sink.flits_forwarded += 1;
         self.router_forwarded[lr] += 1;
-        if sink.trace_on {
+        if self.trace_on {
             sink.trace.push(TraceEvent::Forwarded {
                 packet: flit.packet,
                 cycle: now,
@@ -923,7 +864,7 @@ impl BandView<'_> {
                 self.credit_zero[base_gp + po - self.gp0] |= 1 << gvc;
             }
             let spec = self.channels.get(ci).spec;
-            if self.lookahead && flit.pos.is_head() {
+            if flit.pos.is_head() {
                 // Lookahead RC: resolve the head's *next-hop* output port
                 // against the current tables while the flit is in hand, so
                 // RC at the downstream router is a pre-resolved load. The
@@ -967,7 +908,7 @@ impl BandView<'_> {
             );
             sink.events.ni_ejections += 1;
             if is_tail {
-                if sink.trace_on {
+                if self.trace_on {
                     sink.trace.push(TraceEvent::Ejected {
                         packet: flit.packet,
                         cycle: now,
@@ -985,16 +926,17 @@ impl BandView<'_> {
     }
 }
 
-/// One band's worth of router-stage work, with lifetime-erased borrows so
-/// a persistent worker pool can hold it across the spawn boundary. Created
-/// only by `Network::router_stage_parallel`, which keeps the borrowed
-/// network alive and blocked until every job completes.
-pub(crate) struct BandJob {
-    pub(crate) view: BandView<'static>,
-    pub(crate) busy: &'static [usize],
+/// One band's worth of router-stage work: the band view plus the whole
+/// ascending busy-router list (each band walks its own slice of it). Band
+/// 0 runs inline on borrowed views; bands 1.. go to the worker pool as
+/// `BandJob<'static>` with lifetime-erased borrows, created only by
+/// `Network::run_bands`, which keeps the borrowed network alive and
+/// blocked until every job completes.
+pub(crate) struct BandJob<'a> {
+    pub(crate) view: BandView<'a>,
+    pub(crate) busy: &'a [usize],
     pub(crate) now: u64,
     pub(crate) timed: bool,
-    pub(crate) trace_on: bool,
 }
 
 // SAFETY: the job's borrows point into a `Network` that is exclusively
@@ -1002,11 +944,11 @@ pub(crate) struct BandJob {
 // construction (`split_band`), and the step barrier orders all worker
 // writes before the main thread's merge reads.
 #[allow(unsafe_code)]
-unsafe impl Send for BandJob {}
+unsafe impl Send for BandJob<'_> {}
 
 /// Per-band worker-side state, persisted across cycles so the hot loop
 /// never allocates (sinks, scratch and the kept-list keep their capacity).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WorkerState {
     pub(crate) sink: StageSink,
     pub(crate) scratch: StageScratch,
@@ -1015,20 +957,7 @@ pub(crate) struct WorkerState {
     pub(crate) sa_st_ns: u64,
 }
 
-/// Runs one band job into its worker state.
-pub(crate) fn run_band_job(mut job: BandJob, state: &mut WorkerState) {
-    state.kept.clear();
-    state.rc_va_ns = 0;
-    state.sa_st_ns = 0;
-    state.sink.trace_on = job.trace_on;
-    job.view.run_band(
-        job.busy,
-        &mut state.kept,
-        job.now,
-        job.timed,
-        &mut state.sink,
-        &mut state.scratch,
-        &mut state.rc_va_ns,
-        &mut state.sa_st_ns,
-    );
+/// Runs one band job into its band state.
+pub(crate) fn run_band_job(mut job: BandJob<'_>, state: &mut WorkerState) {
+    job.view.run_band(job.busy, job.now, job.timed, state);
 }

@@ -1,63 +1,60 @@
-//! Active-set scheduling vs naive full sweep: cycle-for-cycle equivalence.
+//! Active-set scheduling under the strict invariant guard.
 //!
-//! `Network::step()` normally walks worklists of busy routers, channels
-//! and NIs; `set_full_sweep(true)` restores the naive scan of every
-//! component (and recomputes the static-power profile every cycle, so the
-//! dirty-flag cache is validated too). These property tests drive both
-//! modes with identical seeded workloads — random traffic plus power
-//! gating, channel faults, router failures and blocked-packet purges —
-//! and require identical trace events, delivered packets, aggregate
-//! statistics, and in-flight accounting at every cycle.
+//! `Network::step()` walks worklists of busy routers, channels, pending
+//! wakes and NI injection ports, and caches the static-power counts
+//! behind a dirty flag. Under `GuardMode::Strict` the network checks after
+//! every cycle that no worklist leaves out a component that would act and
+//! that the static cache equals a recount (the `Worklist` invariant
+//! family), and panics on the first violation. These tests drive seeded
+//! workloads — random traffic plus power gating, channel faults, router
+//! failures and blocked-packet purges — through strictly guarded networks.
 
 mod common;
 
 use adaptnoc_sim::prelude::*;
-use common::{mesh_spec, random_script, run_script, Action};
+use common::{mesh_spec, random_script, run_script, Action, ScriptHistory};
 
-fn check_equivalence(seed: u64, with_faults: bool) {
+/// Runs `script` on a fresh strictly guarded network and checks that the
+/// guard really swept every cycle.
+fn run_guarded(spec: NetworkSpec, script: &[(u64, Action)], cycles: u64) -> ScriptHistory {
+    let mut net = Network::new(spec, SimConfig::baseline()).unwrap();
+    net.set_guard_mode(GuardMode::Strict);
+    let history = run_script(net, script, cycles);
+    let health = history.1.health;
+    assert_eq!(health.checks, cycles, "strict guard skipped cycles");
+    assert_eq!(health.violations, 0);
+    history
+}
+
+fn check_worklists(seed: u64, with_faults: bool) {
     let mut rng = Rng::seed_from_u64(seed);
     let (w, h) = (rng.random_range(2, 5), rng.random_range(2, 5));
     let spec = mesh_spec(w, h);
     let channels = spec.channels.len();
     let script = random_script(&mut rng, w * h, channels, with_faults);
-
-    let active = Network::new(spec.clone(), SimConfig::baseline()).unwrap();
-    let mut sweep = Network::new(spec, SimConfig::baseline()).unwrap();
-    sweep.set_full_sweep(true);
-
-    let cycles = 1_500;
-    let (d_a, t_a, e_a, f_a) = run_script(active, &script, cycles);
-    let (d_s, t_s, e_s, f_s) = run_script(sweep, &script, cycles);
-
-    assert_eq!(
-        e_a, e_s,
-        "trace events diverged (seed {seed}, {w}x{h}, faults={with_faults})"
-    );
-    assert_eq!(d_a, d_s, "delivered packets diverged (seed {seed})");
-    assert_eq!(t_a, t_s, "aggregate report diverged (seed {seed})");
-    assert_eq!(f_a, f_s, "in-flight count diverged (seed {seed})");
+    run_guarded(spec, &script, 1_500);
 }
 
 /// Healthy networks: traffic plus power gating.
 #[test]
-fn active_set_matches_full_sweep_healthy() {
+fn worklists_stay_exact_healthy() {
     for seed in 0..24u64 {
-        check_equivalence(0xAC71FE00 + seed, false);
+        check_worklists(0xAC71FE00 + seed, false);
     }
 }
 
 /// Faulted networks: traffic, gating, channel faults, router failures and
 /// purges.
 #[test]
-fn active_set_matches_full_sweep_with_faults() {
+fn worklists_stay_exact_with_faults() {
     for seed in 0..24u64 {
-        check_equivalence(0xFA017ED0 + seed, true);
+        check_worklists(0xFA017ED0 + seed, true);
     }
 }
 
 /// A saturating all-to-all burst keeps every worklist busy at once.
 #[test]
-fn active_set_matches_full_sweep_under_saturation() {
+fn worklists_stay_exact_under_saturation() {
     let spec = mesh_spec(4, 4);
     let mut script = Vec::new();
     for cycle in 0..64u64 {
@@ -72,14 +69,6 @@ fn active_set_matches_full_sweep_under_saturation() {
             ));
         }
     }
-    let active = Network::new(spec.clone(), SimConfig::baseline()).unwrap();
-    let mut sweep = Network::new(spec, SimConfig::baseline()).unwrap();
-    sweep.set_full_sweep(true);
-    let (d_a, t_a, e_a, f_a) = run_script(active, &script, 3_000);
-    let (d_s, t_s, e_s, f_s) = run_script(sweep, &script, 3_000);
-    assert_eq!(e_a, e_s);
-    assert_eq!(d_a, d_s);
-    assert_eq!(t_a, t_s);
-    assert_eq!(f_a, f_s);
-    assert_eq!(f_a, 0, "burst must fully drain");
+    let (_, _, _, in_flight) = run_guarded(spec, &script, 3_000);
+    assert_eq!(in_flight, 0, "burst must fully drain");
 }

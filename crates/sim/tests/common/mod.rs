@@ -2,11 +2,12 @@
 //! disturbance language (traffic, power gating, faults, purges) and a
 //! deterministic script runner that records every observable output.
 //!
-//! Used by `active_set_equivalence` (active-set scheduling vs full sweep),
-//! `telemetry_equivalence` (telemetry attached vs absent) and
+//! Used by `telemetry_equivalence` (telemetry attached vs absent) and
 //! `region_parallel_equivalence` (parallel stepping vs serial across
-//! thread counts) — all are "two configurations, identical observable
-//! history" properties over the same workload generator.
+//! thread counts) — "two configurations, identical observable history"
+//! properties over the same workload generator — and by
+//! `active_set_equivalence`, which runs the same scripts under the strict
+//! invariant guard.
 
 #![allow(dead_code)] // each consumer uses a subset of the harness
 
